@@ -2,9 +2,10 @@
 
 Four attack families: intercept-resend, entangle-and-measure, asymmetric
 cloning, and two-way entangling (forward and backward unitaries with one
-fresh ancilla per leg). Besides the per-round interceptors used by the
-protocol engines, this module carries the closed-form detection
-probabilities and the ancilla-component analysis of two-way attacks.
+fresh ancilla per leg). Besides the per-leg interceptors and the memoized
+per-round samplers built on them for the protocol engines, this module
+carries the closed-form detection probabilities and the ancilla-component
+analysis of two-way attacks.
 """
 
 from __future__ import annotations
@@ -74,30 +75,6 @@ def attack_from_dict(doc: dict | None) -> AttackSpec:
         ancilla_dim=doc.get("ancilla_dim"),
         probability=float(doc.get("probability", 1.0)),
     )
-
-
-def attack_to_dict(spec: AttackSpec) -> dict:
-    doc: dict = {"kind": spec.kind}
-    if spec.target is not None:
-        doc["target"] = spec.target
-    if spec.fidelity is not None:
-        doc["F"] = spec.fidelity
-    if spec.forward is not None:
-        doc["forward"] = _matrix_to_doc(spec.forward)
-    if spec.backward is not None:
-        doc["backward"] = _matrix_to_doc(spec.backward)
-    if spec.ancilla_dim is not None:
-        doc["ancilla_dim"] = spec.ancilla_dim
-    if spec.probability != 1.0:
-        doc["probability"] = spec.probability
-    return doc
-
-
-def _matrix_to_doc(mat) -> object:
-    if isinstance(mat, (str, list)):
-        return mat
-    arr = np.asarray(mat, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
 @dataclass
@@ -306,16 +283,6 @@ def simulate_reflect_distribution(forward_unitary: np.ndarray, backward_unitary:
     return qmath.subsystem_distribution(state, 0, basis)
 
 
-def simulate_two_way_reflect_mismatch(forward_unitary: np.ndarray, backward_unitary: np.ndarray,
-                                      d: int, ancilla_dim: int, basis: Basis, index: int,
-                                      rounds: int, rng: np.random.Generator) -> float:
-    """Monte Carlo reflect-round mismatch frequency over many rounds."""
-    dist = simulate_reflect_distribution(forward_unitary, backward_unitary, d, ancilla_dim, basis, index)
-    p_mismatch = float(1.0 - dist[index])
-    p_mismatch = min(max(p_mismatch, 0.0), 1.0)
-    return rng.binomial(rounds, p_mismatch) / rounds
-
-
 def intercept_detection_frequency(d: int, mismatched_rounds: int, trials: int,
                                   rng: np.random.Generator) -> float:
     """Monte Carlo frequency of catching intercept-resend.
@@ -367,6 +334,10 @@ class ChannelAttack:
             self.ancilla_dim = spec.ancilla_dim if spec.ancilla_dim is not None else dim
             self._forward = resolve_unitary(spec.forward, dim, self.ancilla_dim)
             self._backward = resolve_unitary(spec.backward, dim, self.ancilla_dim)
+        # Roots of this run's memoized measurement trees, keyed by what
+        # determines their state. Each run builds its own ChannelAttack, so
+        # no tree is shared between threads.
+        self._nodes: dict[tuple, qmath.MeasurementNode] = {}
 
     def components(self) -> TwoWayComponents:
         if self.kind != "two_way":
@@ -401,6 +372,77 @@ class ChannelAttack:
             return qmath.apply_joint(self._backward, joint, (0, 1))
         joint = qmath.tensor_with(carrier, qmath.basis_ket(self.ancilla_dim, 0))
         return qmath.apply_joint(self._backward, joint, (0, len(joint.dims) - 1))
+
+    # -- Cached per-round sampling ------------------------------------------
+    #
+    # Every carrier state is a fixed function of the prepared (basis, index),
+    # and every later state a fixed function of the outcomes drawn so far.
+    # The rounds below walk memoized measurement trees rooted at those
+    # carriers. They draw from ``rng`` in the same order as measuring the
+    # state vectors afresh (forward, measure the traveler, read out the
+    # ancillas, backward, ...), so they give the same outcomes and records.
+
+    def _node(self, key: tuple, build) -> qmath.MeasurementNode:
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = qmath.MeasurementNode(build())
+        return node
+
+    def _ket_node(self, basis: Basis, index: int) -> qmath.MeasurementNode:
+        return self._node(("ket", basis, index), lambda: qmath.basis_state(self.dim, basis, index))
+
+    def _forward_node(self, basis: Basis, index: int,
+                      rng: np.random.Generator) -> tuple[qmath.MeasurementNode, EveRecord]:
+        """Carrier after the forward leg, and Eve's record so far."""
+        if self.kind == "intercept_resend":
+            eve_basis = Basis.COMPUTATIONAL if rng.random() < 0.5 else Basis.FOURIER
+            outcome, post = self._ket_node(basis, index).sample(0, eve_basis, rng)
+            code = 1 if eve_basis is Basis.COMPUTATIONAL else 2
+            return post, EveRecord(kind=self.kind, basis=code, outcome=outcome)
+        node = self._node(("forward", basis, index),
+                          lambda: self.forward(qmath.basis_state(self.dim, basis, index), rng)[0])
+        return node, EveRecord(kind=self.kind)
+
+    def _backward_node(self, key: tuple, carrier: qmath.MeasurementNode, rng) -> qmath.MeasurementNode:
+        """Carrier after the backward leg; ``key`` names the carrier's state."""
+        if self.kind != "two_way":
+            return carrier
+        return self._node(("backward",) + key, lambda: self.backward(carrier.state, rng))
+
+    def one_way_round(self, basis: Basis, index: int, meas_basis: Basis,
+                      rng: np.random.Generator) -> tuple[int, EveRecord]:
+        """One attacked hub -> target round: the target's outcome and Eve's record."""
+        carrier, eve = self._forward_node(basis, index, rng)
+        outcome, eve.ancillas = _read_out(carrier, meas_basis, rng)
+        return outcome, eve
+
+    def two_way_round(self, basis: Basis, index: int, measures: bool,
+                      rng: np.random.Generator) -> tuple[Optional[int], int, EveRecord]:
+        """One attacked two-way round.
+
+        The target measures in the computational basis and resends its
+        outcome, or reflects; the hub remeasures the returned traveler in
+        ``basis``. Returns the target's outcome (None when reflecting), the
+        hub's return outcome and Eve's record.
+        """
+        carrier, eve = self._forward_node(basis, index, rng)
+        outcome, ancillas = None, ()
+        key = ("forward", basis, index)
+        if measures:
+            outcome, ancillas = _read_out(carrier, Basis.COMPUTATIONAL, rng)
+            key = ("ket", Basis.COMPUTATIONAL, outcome)
+            carrier = self._ket_node(Basis.COMPUTATIONAL, outcome)
+        returned, more = _read_out(self._backward_node(key, carrier, rng), basis, rng)
+        eve.ancillas = ancillas + more
+        return outcome, returned, eve
+
+
+def _read_out(node: qmath.MeasurementNode, basis: Basis,
+              rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
+    """Measure the traveler in ``basis``, then every ancilla in the computational basis."""
+    count = 1 if isinstance(node.state, Ket) else len(node.state.dims)
+    traveler, *ancillas = node.measure_in_turn((basis,) + (Basis.COMPUTATIONAL,) * (count - 1), rng)
+    return traveler, tuple(ancillas)
 
 
 def measure_ancillas(carrier: Ket | JointState, rng: np.random.Generator) -> tuple[int, ...]:

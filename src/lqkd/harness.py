@@ -79,6 +79,9 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     if unknown:
         raise ConfigError(f"unknown experiment fields: {sorted(unknown)}")
     sweep = doc.get("sweep")
+    if isinstance(sweep, dict):
+        # the form spec_to_dict writes into a report's config block
+        sweep = (sweep["parameter"], sweep["values"])
     if sweep is not None:
         sweep = (str(sweep[0]), tuple(sweep[1]))
     return ExperimentSpec(**{**doc, "sweep": sweep})
@@ -339,19 +342,24 @@ def _sweep_point_spec(spec: ExperimentSpec, param: str, value) -> ExperimentSpec
             raise ConfigError(f"field 'sweep': parameter {param!r} requires an attack")
         key = "F" if param == "F" else "probability"
         point = replace(point, attack={**spec.attack, key: value})
+        text = repr(float(value))
     elif param == "rounds":
         point = replace(point, rounds=int(value))
+        text = str(int(value))
     elif param == "key_length":
         point = replace(point, key_length=int(value))
+        text = str(int(value))
     elif param == "delta":
         point = replace(point, delta=float(value))
+        text = repr(float(value))
     elif param == "seed":
         return replace(point, seed=int(value))
     else:
         raise ConfigError(f"field 'sweep': unknown parameter {param!r}; expected one of {SWEEPABLE}")
     # every point owns a seed space derived from its value, so shuffling the
-    # value list permutes rows without changing them
-    return replace(point, seed=derive_seed(spec.seed, "sweep", param, f"{value}"))
+    # value list permutes rows without changing them; the value is spelled
+    # canonically, so that 1 and 1.0 name the same experiment
+    return replace(point, seed=derive_seed(spec.seed, "sweep", param, text))
 
 
 def _cloning_curve(attack: dict, network: Network, fidelity: float):

@@ -13,19 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import analysis, resgen
-from .attacks import AttackSpec, ChannelAttack, EveRecord, build_channel_attack, measure_ancillas
+from .attacks import AttackSpec, ChannelAttack, EveRecord, build_channel_attack, measure_ancillas  # noqa: F401
 from .nettop import Network, require_valid
-from .qmath import (
-    Basis,
-    Ket,
-    basis_state,
-    cumulative_transition_rows,
+# measure, measure_joint, measure_ancillas and pick_outcome are not called
+# here; perfbench/tracer.py counts calls at these engine attributes.
+from .qmath import (  # noqa: F401
+    cumulative_transition_table,
     measure,
     measure_joint,
     pick_outcome,
+    pick_outcomes,
 )
-from .seeding import round_rng, stream_rng
+from .seeding import round_rngs, stream_rng
 
 
 class ConfigError(ValueError):
@@ -106,6 +108,20 @@ def layer_alphabets(compiled: resgen.CompiledStates) -> dict[int, int]:
     return out
 
 
+def prepared_indices(compiled: resgen.CompiledStates, sets: np.ndarray, state_draws: np.ndarray) -> np.ndarray:
+    """Local basis index the hub prepared for each round and slot, shape (rounds, slots)."""
+    table = np.array(
+        [[state.indices for state in compiled.prepare_set(set_id).states] for set_id in (1, 2)],
+        dtype=np.int64,
+    )
+    return table[sets - 1, state_draws]
+
+
+def row_tuples(table: np.ndarray):
+    """The rows of a 2-D array as tuples of Python scalars, made lazily from its columns."""
+    return zip(*table.T.tolist())
+
+
 def extract_keys(transcript, network: Network, truncated: bool = False) -> KeyMaterial:
     """Decode per-layer key streams from a sifted transcript."""
     compiled = resgen.compile_truncated(network) if truncated else resgen.compile_network(network)
@@ -166,19 +182,14 @@ def _validate(config: QkdConfig) -> None:
         raise ConfigError("two-way attacks require a two-way protocol; use the semi-quantum engine")
 
 
-def run_qkd(config: QkdConfig) -> RunResult:
-    """Execute the one-way protocol and return transcript, keys, and report."""
-    _validate(config)
+def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> list[RoundRecord]:
+    """Draw every round of a run; its arrays are freed before keys and report are built."""
     network = config.network
-    compiled = (
-        resgen.compile_truncated(network) if config.truncated else resgen.compile_network(network)
-    )
     bobs = [coding.participant for coding in compiled.codings]
     dims = [coding.dim for coding in compiled.codings]
     rounds = config.rounds
     seed = config.seed
 
-    attack = config.attack if config.attack is not None else AttackSpec.none()
     channel: ChannelAttack | None = None
     target_slot = -1
     if attack.kind != "none":
@@ -195,60 +206,64 @@ def run_qkd(config: QkdConfig) -> RunResult:
     check_u = stream_rng(seed, "check").random(size=rounds)
     attack_u = stream_rng(seed, "attack").random(size=rounds)
 
-    cum = {}
-    for dim in set(dims):
-        for prep in Basis:
-            for meas in Basis:
-                cum[(dim, prep, meas)] = cumulative_transition_rows(dim, prep, meas)
+    prepared = prepared_indices(compiled, sets, state_draws)
+    outcomes = np.empty((rounds, len(bobs)), dtype=np.int64)
+    for slot, dim in enumerate(dims):
+        # set ids 1 and 2 name the bases in Basis order
+        rows = cumulative_transition_table(dim)[sets - 1, basis_draws[:, slot] - 1, prepared[:, slot]]
+        outcomes[:, slot] = pick_outcomes(rows, outcome_u[:, slot])
 
-    layer_slots = [
-        [bobs.index(j) for j in network.layer_non_hub(i)] for i in range(len(network.layers))
-    ]
+    eves: dict[int, EveRecord] = {}
+    if channel is not None:
+        attacked = np.flatnonzero(attack_u < attack.probability).tolist()
+        for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
+            outcomes[r, target_slot], eves[r] = channel.one_way_round(
+                resgen.set_basis(int(sets[r])),
+                int(prepared[r, target_slot]),
+                resgen.set_basis(int(basis_draws[r, target_slot])),
+                rng,
+            )
 
-    transcript: list[RoundRecord] = []
-    for r in range(rounds):
-        set_id = int(sets[r])
-        state_index = int(state_draws[r])
-        state = compiled.prepare_set(set_id).states[state_index]
-        prep_basis = resgen.set_basis(set_id)
+    # a layer is retained when every member measured in the basis of the hub's set
+    layer_slots = [[bobs.index(j) for j in network.layer_non_hub(i)] for i in range(len(network.layers))]
+    layer_match = np.stack([(basis_draws[:, slots] == sets[:, None]).all(axis=1) for slots in layer_slots], axis=1)
+    used_for_check = layer_match.any(axis=1) & (check_u < config.check_fraction)
 
-        outcomes = []
-        eve = None
-        for slot in range(len(bobs)):
-            meas_basis = resgen.set_basis(int(basis_draws[r, slot]))
-            if channel is not None and slot == target_slot and attack_u[r] < attack.probability:
-                rng = round_rng(seed, "eve", r)
-                ket = basis_state(dims[slot], prep_basis, state.indices[slot])
-                carrier, eve = channel.forward(ket, rng)
-                if isinstance(carrier, Ket):
-                    out, _ = measure(carrier, meas_basis, rng)
-                else:
-                    out, post = measure_joint(carrier, 0, meas_basis, rng)
-                    eve.ancillas = measure_ancillas(post, rng)
-                outcomes.append(out)
-            else:
-                row = cum[(dims[slot], prep_basis, meas_basis)][state.indices[slot]]
-                outcomes.append(pick_outcome(row, outcome_u[r, slot]))
-
-        retained = tuple(
-            i
-            for i, members in enumerate(layer_slots)
-            if all(basis_draws[r, m] == set_id for m in members)
+    transcript = [
+        RoundRecord(
+            index=r,
+            alice_set=set_id,
+            alice_state=state_index,
+            bases=bases,
+            outcomes=outs,
+            retained_for=tuple(i for i, match in enumerate(matches) if match),
+            used_for_check=check,
+            eve=eves.get(r),
         )
-        used_for_check = bool(retained) and check_u[r] < config.check_fraction
-        transcript.append(
-            RoundRecord(
-                index=r,
-                alice_set=set_id,
-                alice_state=state_index,
-                bases=tuple(int(b) for b in basis_draws[r]),
-                outcomes=tuple(outcomes),
-                retained_for=retained,
-                used_for_check=used_for_check,
-                eve=eve,
+        for r, (set_id, state_index, bases, outs, matches, check) in enumerate(
+            zip(
+                sets.tolist(),
+                state_draws.tolist(),
+                row_tuples(basis_draws),
+                row_tuples(outcomes),
+                row_tuples(layer_match),
+                used_for_check.tolist(),
             )
         )
+    ]
 
+    return transcript
+
+
+def run_qkd(config: QkdConfig) -> RunResult:
+    """Execute the one-way protocol and return transcript, keys, and report."""
+    _validate(config)
+    network = config.network
+    compiled = (
+        resgen.compile_truncated(network) if config.truncated else resgen.compile_network(network)
+    )
+    attack = config.attack if config.attack is not None else AttackSpec.none()
+    transcript = _sample_rounds(config, compiled, attack)
     keys = extract_keys_compiled(transcript, compiled)
     report = report_from_transcript("qkd", transcript, compiled, keys, attack)
     return RunResult(transcript=transcript, keys=keys, report=report)

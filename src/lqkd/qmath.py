@@ -2,12 +2,13 @@
 
 Dense state vectors only: kets, computational and Fourier bases, product
 states, unitaries on selected subsystems of a joint space, and Born-rule
-projective measurement. All randomness flows through an explicit
-``numpy.random.Generator``.
+projective measurement, one-off or through memoized measurement trees.
+All randomness flows through an explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -92,7 +93,9 @@ def fourier_ket(d: int, j: int) -> Ket:
     return Ket(d, np.exp(2j * np.pi * j * k / d) / np.sqrt(d))
 
 
+@lru_cache(maxsize=None)
 def basis_state(d: int, basis: Basis, j: int) -> Ket:
+    """j-th ket of ``basis`` in dimension d (shared: kets are immutable)."""
     return basis_ket(d, j) if basis is Basis.COMPUTATIONAL else fourier_ket(d, j)
 
 
@@ -120,10 +123,16 @@ def transition_probabilities(d: int, prepared_in: Basis, measured_in: Basis) -> 
 
 
 @lru_cache(maxsize=None)
-def cumulative_transition_rows(d: int, prepared_in: Basis, measured_in: Basis) -> tuple[tuple[float, ...], ...]:
-    """Per-prepared-index cumulative outcome distributions, for fast sampling."""
-    probs = transition_probabilities(d, prepared_in, measured_in)
-    return tuple(tuple(np.cumsum(row)) for row in probs)
+def cumulative_transition_table(d: int) -> np.ndarray:
+    """Cumulative transition rows for every pair of bases, for fast sampling.
+
+    Entry [p, m, j] is the cumulative outcome distribution of basis state j
+    of the p-th basis measured in the m-th basis, bases in ``Basis`` order
+    (read-only).
+    """
+    table = np.array([[np.cumsum(transition_probabilities(d, p, m), axis=1) for m in Basis] for p in Basis])
+    table.setflags(write=False)
+    return table
 
 
 def pick_outcome(cumrow, u: float) -> int:
@@ -132,6 +141,11 @@ def pick_outcome(cumrow, u: float) -> int:
         if u < edge:
             return k
     return len(cumrow) - 1
+
+
+def pick_outcomes(cumrows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``pick_outcome`` row by row: the number of edges <= u, capped at the last index."""
+    return np.minimum((cumrows <= u[:, None]).sum(axis=1), cumrows.shape[1] - 1)
 
 
 def inner(a: Ket | JointState, b: Ket | JointState) -> complex:
@@ -144,16 +158,10 @@ def outcome_distribution(state: Ket, basis: Basis) -> np.ndarray:
     return np.abs(mat.conj().T @ state.amplitudes) ** 2
 
 
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)
-
-
 def measure(state: Ket, basis: Basis, rng: np.random.Generator) -> tuple[int, Ket]:
     """Projective measurement; returns the outcome and the post-measurement basis ket."""
-    outcome = sample_outcome(outcome_distribution(state, basis), rng)
-    return outcome, basis_state(state.dim, basis, outcome)
+    outcome, post = MeasurementNode(state).sample(0, basis, rng)
+    return outcome, post.state
 
 
 def product_state(kets) -> JointState:
@@ -220,15 +228,98 @@ def measure_joint(
     state: JointState, subsystem: int, basis: Basis, rng: np.random.Generator
 ) -> tuple[int, JointState]:
     """Born-rule measurement of one subsystem; the post-state is renormalized."""
-    coeffs, moved_shape = _measured_coefficients(state, subsystem, basis)
-    probs = (np.abs(coeffs) ** 2).sum(axis=1)
-    outcome = sample_outcome(probs, rng)
-    conditional = coeffs[outcome] / np.sqrt(probs[outcome])
-    d = state.dims[subsystem]
-    axis_vec = basis_state(d, basis, outcome).amplitudes
-    post = np.outer(axis_vec, conditional).reshape(moved_shape)
-    post = np.moveaxis(post, 0, subsystem)
-    return outcome, JointState(state.dims, post.ravel())
+    outcome, post = MeasurementNode(state).sample(subsystem, basis, rng)
+    return outcome, post.state
+
+
+@dataclass(eq=False, slots=True)
+class _Branch:
+    """One (subsystem, basis) measurement of a node's state."""
+
+    subsystem: int
+    basis: Basis
+    cum: list[float]  # normalised cumulative Born distribution
+    probs: np.ndarray
+    coeffs: np.ndarray | None  # joint states: amplitudes per outcome, measured axis first
+    moved_shape: tuple[int, ...] | None
+    children: dict
+
+
+def _draw(cum: list[float], rng: np.random.Generator) -> int:
+    """Inverse-CDF sample: the number of cumulative edges <= u, capped at the last index."""
+    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+
+
+class MeasurementNode:
+    """A fixed pure state whose projective measurements are worked out once.
+
+    For each (subsystem, basis) the Born distribution is computed on first
+    use; each post-measurement state is built, renormalized and checked on
+    first use and kept as a child node. Sampling draws one ``rng.random()``
+    and bisects the normalised cumulative distribution, so a node gives
+    the same outcomes, draw for draw, as measuring its state afresh, and a
+    tree of nodes replays a chain of measurements without rebuilding any
+    state. A ``Ket`` is one subsystem, and its post-measurement states are
+    basis kets.
+    """
+
+    __slots__ = ("state", "_branches")
+
+    def __init__(self, state: Ket | JointState):
+        self.state = state
+        self._branches: dict[tuple[int, Basis], _Branch] = {}
+
+    def _branch(self, subsystem: int, basis: Basis) -> _Branch:
+        branch = self._branches.get((subsystem, basis))
+        if branch is None:
+            if isinstance(self.state, Ket):
+                if subsystem != 0:
+                    raise DimensionError(f"subsystem {subsystem} out of range for a single ket")
+                coeffs, moved_shape = None, None
+                probs = outcome_distribution(self.state, basis)
+            else:
+                coeffs, moved_shape = _measured_coefficients(self.state, subsystem, basis)
+                probs = (np.abs(coeffs) ** 2).sum(axis=1)
+            cum = np.cumsum(probs)
+            cum /= cum[-1]
+            branch = _Branch(subsystem, basis, cum.tolist(), probs, coeffs, moved_shape, {})
+            self._branches[(subsystem, basis)] = branch
+        return branch
+
+    def _child(self, branch: _Branch, outcome: int) -> "MeasurementNode":
+        node = branch.children.get(outcome)
+        if node is None:
+            if branch.coeffs is None:
+                post = basis_state(self.state.dim, branch.basis, outcome)
+            else:
+                conditional = branch.coeffs[outcome] / np.sqrt(branch.probs[outcome])
+                d = self.state.dims[branch.subsystem]
+                axis_vec = basis_state(d, branch.basis, outcome).amplitudes
+                moved = np.outer(axis_vec, conditional).reshape(branch.moved_shape)
+                post = JointState(self.state.dims, np.moveaxis(moved, 0, branch.subsystem).ravel())
+            node = branch.children[outcome] = MeasurementNode(post)
+        return node
+
+    def sample(self, subsystem: int, basis: Basis, rng: np.random.Generator) -> tuple[int, "MeasurementNode"]:
+        """Measure ``subsystem`` in ``basis``: the outcome and the post-measurement node."""
+        branch = self._branch(subsystem, basis)
+        outcome = _draw(branch.cum, rng)
+        return outcome, self._child(branch, outcome)
+
+    def measure_in_turn(self, bases, rng: np.random.Generator) -> list[int]:
+        """Measure subsystem k in ``bases[k]`` for k = 0, 1, ... in turn; the outcomes.
+
+        Each measurement acts on the state the one before left; the state
+        after the last is never built.
+        """
+        node, outcomes, last = self, [], len(bases) - 1
+        for subsystem, basis in enumerate(bases):
+            branch = node._branch(subsystem, basis)
+            outcome = _draw(branch.cum, rng)
+            outcomes.append(outcome)
+            if subsystem < last:
+                node = node._child(branch, outcome)
+        return outcomes
 
 
 def _check_index(d: int, j: int) -> None:

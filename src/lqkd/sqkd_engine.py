@@ -15,23 +15,35 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import analysis, resgen
-from .attacks import AttackSpec, ChannelAttack, EveRecord, build_channel_attack, measure_ancillas
+from .attacks import AttackSpec, ChannelAttack, EveRecord, build_channel_attack, measure_ancillas  # noqa: F401
 from .nettop import Layer, Network, require_valid
-from .qkd_engine import ConfigError, KeyMaterial, LayerKey, RunResult, layer_alphabets
-from .qmath import (
-    Basis,
-    Ket,
-    basis_state,
-    cumulative_transition_rows,
+from .qkd_engine import (
+    ConfigError,
+    KeyMaterial,
+    LayerKey,
+    RunResult,
+    layer_alphabets,
+    prepared_indices,
+    row_tuples,
+)
+
+# measure, measure_joint, measure_ancillas and pick_outcome are not called
+# here; perfbench/tracer.py counts calls at these engine attributes.
+from .qmath import (  # noqa: F401
+    cumulative_transition_table,
     measure,
     measure_joint,
     pick_outcome,
+    pick_outcomes,
 )
-from .seeding import round_rng, stream_rng
+from .seeding import round_rngs, stream_rng
 
 MEASURE = "measure"
 REFLECT = "reflect"
+ACTIONS = (MEASURE, REFLECT)  # indexed by the drawn action
 
 
 @dataclass(frozen=True)
@@ -69,19 +81,14 @@ def _validate(config: SqkdConfig) -> None:
         raise ConfigError(f"delta must be > 0, got {config.delta}")
 
 
-def run_sqkd(config: SqkdConfig) -> RunResult:
-    """Execute the two-way protocol and return transcript, keys, and report."""
-    _validate(config)
+def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> list[SqkdRound]:
+    """Draw every round of a run; its arrays are freed before keys and report are built."""
     network = config.network
-    compiled = (
-        resgen.compile_truncated(network) if config.truncated else resgen.compile_network(network)
-    )
     bobs = [coding.participant for coding in compiled.codings]
     dims = [coding.dim for coding in compiled.codings]
     rounds = config.rounds
     seed = config.seed
 
-    attack = config.attack if config.attack is not None else AttackSpec.none()
     channel: ChannelAttack | None = None
     target_slot = -1
     if attack.kind != "none":
@@ -98,79 +105,64 @@ def run_sqkd(config: SqkdConfig) -> RunResult:
     return_u = stream_rng(seed, "return").random(size=(rounds, len(bobs)))
     attack_u = stream_rng(seed, "attack").random(size=rounds)
 
-    cum = {}
-    for dim in set(dims):
-        for prep in Basis:
-            for meas in Basis:
-                cum[(dim, prep, meas)] = cumulative_transition_rows(dim, prep, meas)
+    prepared = prepared_indices(compiled, sets, state_draws)
+    measured = action_draws == 0
+    outcomes = np.empty((rounds, len(bobs)), dtype=np.int64)
+    returns = np.empty_like(prepared)
+    for slot, dim in enumerate(dims):
+        # set ids 1 and 2 name the bases in Basis order; index 0 is computational
+        table = cumulative_transition_table(dim)
+        outcomes[:, slot] = pick_outcomes(table[sets - 1, 0, prepared[:, slot]], measure_u[:, slot])
+        # fresh computational resend, remeasured in the prepared basis
+        resent = pick_outcomes(table[0, sets - 1, outcomes[:, slot]], return_u[:, slot])
+        returns[:, slot] = np.where(measured[:, slot], resent, prepared[:, slot])
+    outcome_cells = outcomes.astype(object)
+    outcome_cells[~measured] = None
 
-    transcript: list[SqkdRound] = []
-    for r in range(rounds):
-        set_id = int(sets[r])
-        state_index = int(state_draws[r])
-        state = compiled.prepare_set(set_id).states[state_index]
-        prep_basis = resgen.set_basis(set_id)
-
-        actions = []
-        outcomes: list[Optional[int]] = []
-        returns: list[int] = []
-        eve = None
-        for slot in range(len(bobs)):
-            action = MEASURE if action_draws[r, slot] == 0 else REFLECT
-            actions.append(action)
-            prepared_index = state.indices[slot]
-            dim = dims[slot]
-            attacked = (
-                channel is not None and slot == target_slot and attack_u[r] < attack.probability
+    eves: dict[int, EveRecord] = {}
+    if channel is not None:
+        attacked = np.flatnonzero(attack_u < attack.probability).tolist()
+        for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
+            outcome_cells[r, target_slot], returns[r, target_slot], eves[r] = channel.two_way_round(
+                resgen.set_basis(int(sets[r])),
+                int(prepared[r, target_slot]),
+                bool(measured[r, target_slot]),
+                rng,
             )
-            if not attacked:
-                if action == MEASURE:
-                    row = cum[(dim, prep_basis, Basis.COMPUTATIONAL)][prepared_index]
-                    out = pick_outcome(row, measure_u[r, slot])
-                    outcomes.append(out)
-                    # fresh computational resend, remeasured in the prepared basis
-                    back = cum[(dim, Basis.COMPUTATIONAL, prep_basis)][out]
-                    returns.append(pick_outcome(back, return_u[r, slot]))
-                else:
-                    outcomes.append(None)
-                    returns.append(prepared_index)
-                continue
 
-            rng = round_rng(seed, "eve", r)
-            ket = basis_state(dim, prep_basis, prepared_index)
-            carrier, eve = channel.forward(ket, rng)
-            ancillas: tuple[int, ...] = ()
-            if action == MEASURE:
-                if isinstance(carrier, Ket):
-                    out, _ = measure(carrier, Basis.COMPUTATIONAL, rng)
-                else:
-                    out, post = measure_joint(carrier, 0, Basis.COMPUTATIONAL, rng)
-                    ancillas += measure_ancillas(post, rng)
-                outcomes.append(out)
-                carrier = basis_state(dim, Basis.COMPUTATIONAL, out)
-            else:
-                outcomes.append(None)
-            carrier = channel.backward(carrier, rng)
-            if isinstance(carrier, Ket):
-                ret, _ = measure(carrier, prep_basis, rng)
-            else:
-                ret, post = measure_joint(carrier, 0, prep_basis, rng)
-                ancillas += measure_ancillas(post, rng)
-            returns.append(ret)
-            eve.ancillas = ancillas
-
-        transcript.append(
-            SqkdRound(
-                index=r,
-                alice_set=set_id,
-                alice_state=state_index,
-                actions=tuple(actions),
-                outcomes=tuple(outcomes),
-                returns=tuple(returns),
-                eve=eve,
+    transcript = [
+        SqkdRound(
+            index=r,
+            alice_set=set_id,
+            alice_state=state_index,
+            actions=tuple(ACTIONS[a] for a in acts),
+            outcomes=outs,
+            returns=rets,
+            eve=eves.get(r),
+        )
+        for r, (set_id, state_index, acts, outs, rets) in enumerate(
+            zip(
+                sets.tolist(),
+                state_draws.tolist(),
+                row_tuples(action_draws),
+                row_tuples(outcome_cells),
+                row_tuples(returns),
             )
         )
+    ]
 
+    return transcript
+
+
+def run_sqkd(config: SqkdConfig) -> RunResult:
+    """Execute the two-way protocol and return transcript, keys, and report."""
+    _validate(config)
+    network = config.network
+    compiled = (
+        resgen.compile_truncated(network) if config.truncated else resgen.compile_network(network)
+    )
+    attack = config.attack if config.attack is not None else AttackSpec.none()
+    transcript = _sample_rounds(config, compiled, attack)
     keys = extract_sqkd_keys(transcript, compiled)
     report = sqkd_report_from_transcript(transcript, compiled, keys, attack)
     return RunResult(transcript=transcript, keys=keys, report=report)

@@ -19,7 +19,7 @@ from lqkd.harness import (
     write_sqkd_transcript,
 )
 from lqkd.qkd_engine import ConfigError, QkdConfig, run_qkd
-from lqkd.seeding import derive_round_seed
+from lqkd.seeding import _seed_sequence_words, derive_round_seed, round_rng, round_rngs
 from lqkd.sqkd_engine import SqkdConfig, run_sqkd
 
 
@@ -35,6 +35,22 @@ def test_distinct_tags_and_rounds_separate_streams():
     assert derive_round_seed(1, 0, "b") != base
     assert derive_round_seed(1, 1, "a") != base
     assert derive_round_seed(2, 0, "a") != base
+
+
+def test_round_rngs_draw_what_round_rng_draws():
+    rounds = list(range(0, 3000, 7)) + [2**33, 10**12]
+    for master, tag in ((0, "eve"), (2**64 - 1, "outcome")):
+        for r, rng in zip(rounds, round_rngs(master, tag, rounds)):
+            reference = round_rng(master, tag, r)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random(3).tolist() == reference.random(3).tolist()
+
+
+def test_seed_sequence_words_match_numpy():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + list(range(12345, 2**64, 2**58 + 99))
+    words = _seed_sequence_words(np.array(seeds, dtype=np.uint64), 8)
+    for k, seed in enumerate(seeds):
+        assert [int(w[k]) for w in words] == np.random.SeedSequence(seed).generate_state(8).tolist()
 
 
 def test_derived_seeds_have_no_collisions_at_scale():
@@ -123,6 +139,32 @@ def test_sweep_rows_are_order_independent(demo_network):
     rows = {canonical_json(r) for r in run_experiment(spec).sweep_rows}
     rows_shuffled = {canonical_json(r) for r in run_experiment(shuffled).sweep_rows}
     assert rows == rows_shuffled
+
+
+@pytest.mark.parametrize(
+    "param, spellings",
+    [("F", (1, 1.0)), ("probability", (1, 1.0)), ("delta", (1, 1.0)), ("rounds", (500, 500.0)),
+     ("key_length", (20, 20.0))],
+)
+def test_sweep_point_seed_ignores_the_spelling_of_its_value(demo_network, param, spellings):
+    spec = _qkd_spec(demo_network, attack={"kind": "cloning", "target": "Bob1", "F": 0.9})
+    seeds = {harness._sweep_point_spec(spec, param, value).seed for value in spellings}
+    assert len(seeds) == 1
+
+
+def test_sweep_config_block_replays_the_sweep(demo_network, tmp_path):
+    spec = _qkd_spec(
+        demo_network,
+        rounds=600,
+        attack={"kind": "intercept_resend", "target": "Bob2"},
+        sweep=("probability", (0.5, 1.0)),
+        out_dir=str(tmp_path),
+    )
+    run_experiment(spec)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["config"]["sweep"] == {"parameter": "probability", "values": [0.5, 1.0]}
+    replayed = run_experiment(spec_from_dict(saved["config"]))
+    assert canonical_report_bytes(replayed.document) == canonical_report_bytes(saved)
 
 
 def test_cloning_sweep_carries_information_curves(demo_network):
