@@ -26,7 +26,7 @@ from .attacks import (
 )
 from .harness import ExperimentSpec, run_experiment
 from .nettop import Layer, Network, local_dimensions, validate
-from .qkd_engine import KeyMaterial, QkdConfig, RoundRecord, RunResult, extract_keys, run_qkd, sift
+from .qkd_engine import KeyMaterial, QkdConfig, QkdTranscript, RunResult, extract_keys, run_qkd
 from .qmath import Basis, JointState, Ket, apply_joint, fourier_ket, measure, measure_joint
 from .resgen import (
     CompiledStates,
@@ -39,7 +39,7 @@ from .resgen import (
     reference_sets,
 )
 from .seeding import derive_round_seed
-from .sqkd_engine import SqkdConfig, SqkdRound, run_boyer_baseline, run_sqkd
+from .sqkd_engine import SqkdConfig, SqkdTranscript, run_boyer_baseline, run_sqkd
 
 __version__ = "0.1.0"
 
@@ -58,12 +58,12 @@ __all__ = [
     "MeasureResendScenario",
     "Network",
     "QkdConfig",
+    "QkdTranscript",
     "ReflectScenario",
     "Report",
-    "RoundRecord",
     "RunResult",
     "SqkdConfig",
-    "SqkdRound",
+    "SqkdTranscript",
     "analytic_two_way_detection",
     "apply_joint",
     "binary_entropy",
@@ -94,7 +94,6 @@ __all__ = [
     "run_experiment",
     "run_qkd",
     "run_sqkd",
-    "sift",
     "two_way_attack",
     "validate",
 ]

@@ -37,8 +37,8 @@ def shannon_entropy(counts: Iterable[int]) -> float:
 
 
 def empirical_entropy(symbols) -> float:
-    """Plug-in entropy in bits of a symbol sequence."""
-    _, counts = np.unique(np.asarray(list(symbols)), return_counts=True)
+    """Plug-in entropy in bits of a symbol sequence (an array or a sequence)."""
+    _, counts = np.unique(np.asarray(symbols), return_counts=True)
     return shannon_entropy(counts)
 
 
@@ -110,16 +110,17 @@ def symbol_codes(features) -> list[int]:
 
 
 def empirical_mi(xs, ys) -> float:
-    """Plug-in mutual information (bits) between two aligned symbol streams."""
-    xs = np.asarray(list(xs))
-    ys = np.asarray(list(ys))
+    """Plug-in mutual information (bits) between two aligned symbol streams
+    (arrays or sequences)."""
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
     if xs.shape != ys.shape or xs.size == 0:
         raise ValueError("streams must be non-empty and of equal length")
     _, xi = np.unique(xs, return_inverse=True)
     _, yi = np.unique(ys, return_inverse=True)
     nx, ny = xi.max() + 1, yi.max() + 1
-    joint = np.zeros((nx, ny), dtype=np.float64)
-    np.add.at(joint, (xi, yi), 1.0)
+    # integer counts are exact in float64, so this equals summing ones
+    joint = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny).astype(np.float64)
     joint /= joint.sum()
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
@@ -140,6 +141,17 @@ class ErrorTally:
     errors: int = 0
     compared_by_set: dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0})
     errors_by_set: dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0})
+
+    @classmethod
+    def from_masks(cls, sets: np.ndarray, compared: np.ndarray, errors: np.ndarray) -> "ErrorTally":
+        """Tally of the rows ``compared`` selects; ``errors`` flags mismatches, ``sets`` holds set ids."""
+        wrong = compared & errors
+        return cls(
+            compared=int(np.count_nonzero(compared)),
+            errors=int(np.count_nonzero(wrong)),
+            compared_by_set={s: int(np.count_nonzero(compared & (sets == s))) for s in (1, 2)},
+            errors_by_set={s: int(np.count_nonzero(wrong & (sets == s))) for s in (1, 2)},
+        )
 
     def add(self, set_id: int, error: bool) -> None:
         self.compared += 1

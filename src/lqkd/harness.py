@@ -25,7 +25,7 @@ from .nettop import Network
 from .qkd_engine import (
     ConfigError,
     QkdConfig,
-    RoundRecord,
+    QkdTranscript,
     RunResult,
     extract_keys_compiled,
     report_from_transcript,
@@ -33,8 +33,9 @@ from .qkd_engine import (
 )
 from .seeding import derive_round_seed, derive_seed  # noqa: F401  (derive_round_seed is public API)
 from .sqkd_engine import (
+    ACTIONS,
     SqkdConfig,
-    SqkdRound,
+    SqkdTranscript,
     extract_sqkd_keys,
     run_boyer_baseline,
     run_sqkd,
@@ -105,6 +106,9 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         doc["attack"] = spec.attack
     if spec.sweep is not None:
         doc["sweep"] = {"parameter": spec.sweep[0], "values": list(spec.sweep[1])}
+        if spec.sweep[0] == "l":
+            # only the detection sweep draws trials; other configs stay as they were
+            doc["trials"] = spec.trials
     return doc
 
 
@@ -175,44 +179,26 @@ def qkd_transcript_columns(network: Network) -> list[str]:
     )
 
 
-def write_qkd_transcript(path, transcript, network: Network) -> None:
-    rows = []
-    for rec in transcript:
-        rows.append(
-            [rec.index, rec.alice_set, rec.alice_state]
-            + list(rec.bases)
-            + list(rec.outcomes)
-            + [";".join(str(i) for i in rec.retained_for), rec.used_for_check]
-        )
-    write_csv(path, qkd_transcript_columns(network), rows)
+def write_qkd_transcript(path, transcript: QkdTranscript, network: Network) -> None:
+    columns = [_cells(transcript.index), _cells(transcript.alice_set), _cells(transcript.alice_state)]
+    columns += [_cells(column) for column in transcript.bases.T]
+    columns += [_cells(column) for column in transcript.outcomes.T]
+    columns += [_retained_cells(transcript.retained), _cells(transcript.check, _fmt)]
+    _write_columns(path, qkd_transcript_columns(network), columns)
 
 
-def read_qkd_transcript(path, network: Network) -> list[RoundRecord]:
+def read_qkd_transcript(path, network: Network) -> QkdTranscript:
     n_bobs = len(network.non_hub())
-    records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != qkd_transcript_columns(network):
-            raise ConfigError("transcript header does not match the network's participants")
-        for row in reader:
-            index, set_id, state = int(row[0]), int(row[1]), int(row[2])
-            bases = tuple(int(v) for v in row[3 : 3 + n_bobs])
-            outcomes = tuple(int(v) for v in row[3 + n_bobs : 3 + 2 * n_bobs])
-            retained = tuple(int(v) for v in row[3 + 2 * n_bobs].split(";") if v != "")
-            check = row[4 + 2 * n_bobs] == "1"
-            records.append(
-                RoundRecord(
-                    index=index,
-                    alice_set=set_id,
-                    alice_state=state,
-                    bases=bases,
-                    outcomes=outcomes,
-                    retained_for=retained,
-                    used_for_check=check,
-                )
-            )
-    return records
+    columns = _read_columns(path, qkd_transcript_columns(network))
+    return QkdTranscript(
+        index=_ints(columns[0]),
+        alice_set=_ints(columns[1]),
+        alice_state=_ints(columns[2]),
+        bases=_ints(columns[3 : 3 + n_bobs]).T,
+        outcomes=_ints(columns[3 + n_bobs : 3 + 2 * n_bobs]).T,
+        retained=_retained_mask(columns[3 + 2 * n_bobs], len(network.layers)),
+        check=np.array(columns[4 + 2 * n_bobs], dtype=str) == "1",
+    )
 
 
 def sqkd_transcript_columns(network: Network) -> list[str]:
@@ -225,42 +211,108 @@ def sqkd_transcript_columns(network: Network) -> list[str]:
     )
 
 
-def write_sqkd_transcript(path, transcript, network: Network) -> None:
-    rows = []
-    for rec in transcript:
-        rows.append(
-            [rec.index, rec.alice_set, rec.alice_state]
-            + list(rec.actions)
-            + list(rec.outcomes)
-            + list(rec.returns)
-        )
-    write_csv(path, sqkd_transcript_columns(network), rows)
+def write_sqkd_transcript(path, transcript: SqkdTranscript, network: Network) -> None:
+    columns = [_cells(transcript.index), _cells(transcript.alice_set), _cells(transcript.alice_state)]
+    columns += [_cells(column, ACTIONS.__getitem__) for column in transcript.actions.T]
+    # a participant that reflected has no outcome: an empty cell
+    columns += [_cells(column, lambda v: "" if v < 0 else str(v)) for column in transcript.outcomes.T]
+    columns += [_cells(column) for column in transcript.returns.T]
+    _write_columns(path, sqkd_transcript_columns(network), columns)
 
 
-def read_sqkd_transcript(path, network: Network) -> list[SqkdRound]:
+def read_sqkd_transcript(path, network: Network) -> SqkdTranscript:
     n_bobs = len(network.non_hub())
-    records = []
+    columns = _read_columns(path, sqkd_transcript_columns(network))
+    return SqkdTranscript(
+        index=_ints(columns[0]),
+        alice_set=_ints(columns[1]),
+        alice_state=_ints(columns[2]),
+        actions=np.stack([_parse_cells(c, _action_code) for c in columns[3 : 3 + n_bobs]], axis=1),
+        outcomes=np.stack(
+            [_parse_cells(c, lambda v: int(v) if v else -1) for c in columns[3 + n_bobs : 3 + 2 * n_bobs]], axis=1
+        ),
+        returns=_ints(columns[3 + 2 * n_bobs : 3 + 3 * n_bobs]).T,
+    )
+
+
+def _cells(values: np.ndarray, spell=str) -> list[str]:
+    """The CSV cell of each value, spelled once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([spell(v) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+def _retained_cells(retained: np.ndarray) -> list[str]:
+    """';'-joined ids of the retained layers, spelled once per distinct bit pattern."""
+    layers = retained.shape[1]
+    patterns = retained.astype(np.int64) @ (1 << np.arange(layers, dtype=np.int64))
+    return _cells(patterns, lambda bits: ";".join(str(i) for i in range(layers) if bits >> i & 1))
+
+
+def _write_columns(path_or_buf, header, columns) -> None:
+    """Write equal-length columns of cells that need no quoting: the bytes
+    ``write_csv`` gives for the same rows, joined without a per-row call."""
+    own = isinstance(path_or_buf, (str, Path))
+    handle = open(path_or_buf, "w", newline="", encoding="utf-8") if own else path_or_buf
+    try:
+        csv.writer(handle).writerow(header)
+        lines = "\r\n".join(map(",".join, zip(*columns)))
+        if lines:
+            handle.write(lines + "\r\n")
+    finally:
+        if own:
+            handle.close()
+
+
+def _read_columns(path, header: list[str]) -> list[list[str]]:
+    """The columns of a CSV table whose first row must be ``header``.
+
+    Transcript cells never need quoting, so the body is split on line
+    ends and commas as a whole instead of row by row.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != sqkd_transcript_columns(network):
-            raise ConfigError("transcript header does not match the network's participants")
-        for row in reader:
-            index, set_id, state = int(row[0]), int(row[1]), int(row[2])
-            actions = tuple(row[3 : 3 + n_bobs])
-            outcomes = tuple(None if v == "" else int(v) for v in row[3 + n_bobs : 3 + 2 * n_bobs])
-            returns = tuple(int(v) for v in row[3 + 2 * n_bobs : 3 + 3 * n_bobs])
-            records.append(
-                SqkdRound(
-                    index=index,
-                    alice_set=set_id,
-                    alice_state=state,
-                    actions=actions,
-                    outcomes=outcomes,
-                    returns=returns,
-                )
-            )
-    return records
+        lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or next(csv.reader(lines[:1])) != header:
+        raise ConfigError("transcript header does not match the network's participants")
+    body = lines[1:]
+    if {line.count(",") for line in body} - {len(header) - 1}:
+        raise ConfigError("transcript rows must have one cell per header column")
+    joined = ",".join(body)
+    if '"' in joined:
+        raise ConfigError("transcript cells must not be quoted")
+    cells = joined.split(",") if body else []
+    return [cells[k :: len(header)] for k in range(len(header))]
+
+
+def _ints(cells) -> np.ndarray:
+    """Integer cells: one column as a 1-D array, a list of columns as a 2-D one."""
+    return np.array(cells, dtype=np.int64)
+
+
+def _parse_cells(column: list[str], parse, dtype=np.int64) -> np.ndarray:
+    """Parsed values of a column, each distinct cell parsed once."""
+    codes: dict[str, int] = {}
+    inverse = [codes.setdefault(cell, len(codes)) for cell in column]
+    return np.array([parse(cell) for cell in codes], dtype=dtype)[np.array(inverse, dtype=np.int64)]
+
+
+def _action_code(cell: str) -> int:
+    if cell not in ACTIONS:
+        raise ConfigError(f"transcript action {cell!r} is not one of {ACTIONS}")
+    return ACTIONS.index(cell)
+
+
+def _retained_mask(column: list[str], layers: int) -> np.ndarray:
+    """(rounds, layers) mask from ';'-joined layer ids."""
+
+    def parse(cell: str) -> list[bool]:
+        kept = {int(v) for v in cell.split(";") if v != ""}
+        if not kept <= set(range(layers)):
+            raise ConfigError(f"transcript retains unknown layers: {cell!r}")
+        return [i in kept for i in range(layers)]
+
+    return _parse_cells(column, parse, bool).reshape(len(column), layers)
 
 
 def analyze_transcript(protocol: str, network: Network, path, truncated: bool = False) -> analysis.Report:
@@ -440,6 +492,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         out.result = result
         out.report = result.report
         document["report"] = result.report.to_dict()
+        document["meta"]["dropped_by_decoding"] = {
+            str(i): key.dropped for i, key in result.keys.layers.items()
+        }
 
     if spec.out_dir is not None:
         out_dir = Path(spec.out_dir)

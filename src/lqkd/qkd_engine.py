@@ -6,10 +6,14 @@ an independently chosen basis. Rounds are sifted per layer (a layer is
 retained when all of its members' bases match the hub's set choice), a
 fraction of retained rounds is sacrificed to the eavesdropping check, and
 the surviving outcomes decode digit-by-digit into one key per layer.
+
+A run's transcript is columnar: one numpy array per field, one row per
+round. Key extraction and the report are column operations on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,18 +48,38 @@ class QkdConfig:
     truncated: bool = False
 
 
-@dataclass
-class RoundRecord:
-    """One protocol round: choices, outcomes, and retention status."""
+def columns_equal(a, b) -> bool:
+    """Field-by-field equality of two columnar transcripts of one type."""
+    if type(a) is not type(b):
+        return False
+    return all(
+        getattr(a, f.name) == getattr(b, f.name) if f.name == "eve"
+        else np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(a)
+    )
 
-    index: int
-    alice_set: int
-    alice_state: int
-    bases: tuple[int, ...]
-    outcomes: tuple[int, ...]
-    retained_for: tuple[int, ...]
-    used_for_check: bool
-    eve: Optional[EveRecord] = None
+
+@dataclass(eq=False)
+class QkdTranscript:
+    """Every round of a one-way run, one column per field.
+
+    Row r holds round ``index[r]``. Slot s is the s-th non-hub participant
+    in index order, layer i the network's i-th layer.
+    """
+
+    index: np.ndarray  # (rounds,) round numbers
+    alice_set: np.ndarray  # (rounds,) prepare set id, 1 or 2
+    alice_state: np.ndarray  # (rounds,) state drawn from the set
+    bases: np.ndarray  # (rounds, slots) measurement set id of each participant
+    outcomes: np.ndarray  # (rounds, slots) local outcome of each participant
+    retained: np.ndarray  # (rounds, layers) bool: the layer survived sifting
+    check: np.ndarray  # (rounds,) bool: disclosed for the eavesdropping check
+    eve: dict[int, EveRecord] = field(default_factory=dict)  # row -> Eve's record, attacked rows only
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    __eq__ = columns_equal
 
 
 @dataclass
@@ -65,6 +89,8 @@ class LayerKey:
     hub_name: str
     rounds: tuple[int, ...]
     streams: dict[str, tuple[int, ...]]
+    # sifted rounds dropped because a member's outcome decodes to no symbol
+    dropped: int = 0
 
 
 @dataclass
@@ -74,25 +100,21 @@ class KeyMaterial:
 
 @dataclass
 class RunResult:
-    transcript: list
+    transcript: QkdTranscript  # a sqkd_engine.SqkdTranscript for two-way runs
     keys: KeyMaterial
     report: analysis.Report
 
 
-def sift(record: RoundRecord, network: Network) -> tuple[int, ...]:
-    """Layer ids retained by one round's basis choices."""
-    return sift_choices(record.alice_set, record.bases, network)
+def layer_slots(network: Network) -> list[list[int]]:
+    """Slots of each layer's non-hub members."""
+    slot_of = {j: slot for slot, j in enumerate(sorted(network.non_hub()))}
+    return [[slot_of[j] for j in network.layer_non_hub(i)] for i in range(len(network.layers))]
 
 
-def sift_choices(alice_set: int, bases, network: Network) -> tuple[int, ...]:
-    """A layer is retained when every member measured in the set's basis."""
-    slots = {j: slot for slot, j in enumerate(sorted(network.non_hub()))}
-    retained = []
-    for i in range(len(network.layers)):
-        members = network.layer_non_hub(i)
-        if all(bases[slots[j]] == alice_set for j in members):
-            retained.append(i)
-    return tuple(retained)
+def sift_layers(network: Network, alice_set: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """(rounds, layers) mask: a layer is retained when every member measured in the set's basis."""
+    match = bases == alice_set[:, None]
+    return np.stack([match[:, slots].all(axis=1) for slots in layer_slots(network)], axis=1)
 
 
 def layer_alphabets(compiled: resgen.CompiledStates) -> dict[int, int]:
@@ -117,59 +139,74 @@ def prepared_indices(compiled: resgen.CompiledStates, sets: np.ndarray, state_dr
     return table[sets - 1, state_draws]
 
 
-def row_tuples(table: np.ndarray):
-    """The rows of a 2-D array as tuples of Python scalars, made lazily from its columns."""
-    return zip(*table.T.tolist())
+def _hub_symbol_table(compiled: resgen.CompiledStates) -> np.ndarray:
+    """The hub's key symbol per (set id - 1, state, layer); -1 where the state carries none."""
+    return np.array(
+        [
+            [[-1 if s is None else s for s in state.layer_symbols] for state in compiled.prepare_set(set_id).states]
+            for set_id in (1, 2)
+        ],
+        dtype=np.int64,
+    )
 
 
-def extract_keys(transcript, network: Network, truncated: bool = False) -> KeyMaterial:
+def _slot_symbol_tables(compiled: resgen.CompiledStates) -> list[np.ndarray]:
+    """Per slot, the key symbol per (outcome, layer); -1 where the outcome decodes to none."""
+    tables = []
+    for coding in compiled.codings:
+        table = np.full((coding.dim, len(compiled.network.layers)), -1, dtype=np.int64)
+        for outcome, symbols in enumerate(coding.symbol_table):
+            for layer, symbol in zip(coding.layers, symbols):
+                if symbol is not None:
+                    table[outcome, layer] = symbol
+        tables.append(table)
+    return tables
+
+
+def decode_keys(transcript, compiled: resgen.CompiledStates, sifted: np.ndarray) -> KeyMaterial:
+    """Key streams of the rows ``sifted[:, i]`` selects for each layer i.
+
+    A row yields a symbol when the hub's state carries one for the layer.
+    A member's outcome may still decode to none in the reduced resource
+    family; such a row is dropped for everyone to keep the streams
+    aligned, and counted in ``LayerKey.dropped``.
+    """
+    network = compiled.network
+    hub_name = network.names[network.hub]
+    hub_table = _hub_symbol_table(compiled)
+    slot_tables = _slot_symbol_tables(compiled)
+    alphabets = layer_alphabets(compiled)
+
+    material = KeyMaterial()
+    for i, slots in enumerate(layer_slots(network)):
+        rows = np.flatnonzero(sifted[:, i])
+        hub = hub_table[transcript.alice_set[rows] - 1, transcript.alice_state[rows], i]
+        rows, hub = rows[hub >= 0], hub[hub >= 0]
+        members = [slot_tables[slot][transcript.outcomes[rows, slot], i] for slot in slots]
+        decoded = np.logical_and.reduce([symbols >= 0 for symbols in members])
+        streams = {hub_name: tuple(hub[decoded].tolist())}
+        for j, symbols in zip(network.layer_non_hub(i), members):
+            streams[network.names[j]] = tuple(symbols[decoded].tolist())
+        material.layers[i] = LayerKey(
+            layer=i,
+            alphabet=alphabets[i],
+            hub_name=hub_name,
+            rounds=tuple(transcript.index[rows[decoded]].tolist()),
+            streams=streams,
+            dropped=int(np.count_nonzero(~decoded)),
+        )
+    return material
+
+
+def extract_keys(transcript: QkdTranscript, network: Network, truncated: bool = False) -> KeyMaterial:
     """Decode per-layer key streams from a sifted transcript."""
     compiled = resgen.compile_truncated(network) if truncated else resgen.compile_network(network)
     return extract_keys_compiled(transcript, compiled)
 
 
-def extract_keys_compiled(transcript, compiled: resgen.CompiledStates) -> KeyMaterial:
-    network = compiled.network
-    hub_name = network.names[network.hub]
-    slots = {coding.participant: slot for slot, coding in enumerate(compiled.codings)}
-    alphabets = layer_alphabets(compiled)
-
-    material = KeyMaterial()
-    for i in range(len(network.layers)):
-        members = network.layer_non_hub(i)
-        member_names = [network.names[j] for j in members]
-        rounds: list[int] = []
-        streams: dict[str, list[int]] = {hub_name: []}
-        for name in member_names:
-            streams[name] = []
-        for rec in transcript:
-            if i not in rec.retained_for or rec.used_for_check:
-                continue
-            state = compiled.prepare_set(rec.alice_set).states[rec.alice_state]
-            hub_symbol = state.layer_symbols[i]
-            if hub_symbol is None:
-                continue
-            decoded = []
-            for j in members:
-                coding = compiled.codings[slots[j]]
-                symbol = coding.symbols_for(rec.outcomes[slots[j]])[i]
-                decoded.append(symbol)
-            # A disturbed outcome can decode to "no symbol" in the reduced
-            # resource family; drop the round for everyone to keep streams aligned.
-            if any(s is None for s in decoded):
-                continue
-            rounds.append(rec.index)
-            streams[hub_name].append(hub_symbol)
-            for name, symbol in zip(member_names, decoded):
-                streams[name].append(symbol)
-        material.layers[i] = LayerKey(
-            layer=i,
-            alphabet=alphabets[i],
-            hub_name=hub_name,
-            rounds=tuple(rounds),
-            streams={name: tuple(vals) for name, vals in streams.items()},
-        )
-    return material
+def extract_keys_compiled(transcript: QkdTranscript, compiled: resgen.CompiledStates) -> KeyMaterial:
+    """Keys come from the retained rounds not disclosed for the check."""
+    return decode_keys(transcript, compiled, transcript.retained & ~transcript.check[:, None])
 
 
 def _validate(config: QkdConfig) -> None:
@@ -182,8 +219,8 @@ def _validate(config: QkdConfig) -> None:
         raise ConfigError("two-way attacks require a two-way protocol; use the semi-quantum engine")
 
 
-def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> list[RoundRecord]:
-    """Draw every round of a run; its arrays are freed before keys and report are built."""
+def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> QkdTranscript:
+    """Draw every round of a run as the columns of its transcript."""
     network = config.network
     bobs = [coding.participant for coding in compiled.codings]
     dims = [coding.dim for coding in compiled.codings]
@@ -224,35 +261,17 @@ def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: A
                 rng,
             )
 
-    # a layer is retained when every member measured in the basis of the hub's set
-    layer_slots = [[bobs.index(j) for j in network.layer_non_hub(i)] for i in range(len(network.layers))]
-    layer_match = np.stack([(basis_draws[:, slots] == sets[:, None]).all(axis=1) for slots in layer_slots], axis=1)
-    used_for_check = layer_match.any(axis=1) & (check_u < config.check_fraction)
-
-    transcript = [
-        RoundRecord(
-            index=r,
-            alice_set=set_id,
-            alice_state=state_index,
-            bases=bases,
-            outcomes=outs,
-            retained_for=tuple(i for i, match in enumerate(matches) if match),
-            used_for_check=check,
-            eve=eves.get(r),
-        )
-        for r, (set_id, state_index, bases, outs, matches, check) in enumerate(
-            zip(
-                sets.tolist(),
-                state_draws.tolist(),
-                row_tuples(basis_draws),
-                row_tuples(outcomes),
-                row_tuples(layer_match),
-                used_for_check.tolist(),
-            )
-        )
-    ]
-
-    return transcript
+    retained = sift_layers(network, sets, basis_draws)
+    return QkdTranscript(
+        index=np.arange(rounds),
+        alice_set=sets,
+        alice_state=state_draws,
+        bases=basis_draws,
+        outcomes=outcomes,
+        retained=retained,
+        check=retained.any(axis=1) & (check_u < config.check_fraction),
+        eve=eves,
+    )
 
 
 def run_qkd(config: QkdConfig) -> RunResult:
@@ -271,7 +290,7 @@ def run_qkd(config: QkdConfig) -> RunResult:
 
 def report_from_transcript(
     protocol: str,
-    transcript,
+    transcript: QkdTranscript,
     compiled: resgen.CompiledStates,
     keys: KeyMaterial,
     attack: AttackSpec | None = None,
@@ -279,46 +298,30 @@ def report_from_transcript(
     """Assemble the full analysis report for a one-way transcript."""
     network = compiled.network
     rounds = len(transcript)
-    bobs = [coding.participant for coding in compiled.codings]
-    names = [network.names[j] for j in bobs]
 
-    tallies = {name: analysis.ErrorTally() for name in names}
-    checked_rounds = 0
-    retained_counts = {i: 0 for i in range(len(network.layers))}
-    for rec in transcript:
-        for i in rec.retained_for:
-            retained_counts[i] += 1
-        if not rec.used_for_check:
-            continue
-        checked_rounds += 1
-        state = compiled.prepare_set(rec.alice_set).states[rec.alice_state]
-        for slot, name in enumerate(names):
-            if rec.bases[slot] == rec.alice_set:
-                tallies[name].add(rec.alice_set, rec.outcomes[slot] != state.indices[slot])
-
+    # a checked participant is compared when they measured in the set's basis
+    compared = transcript.check[:, None] & (transcript.bases == transcript.alice_set[:, None])
+    errors = transcript.outcomes != prepared_indices(compiled, transcript.alice_set, transcript.alice_state)
+    tallies = slot_tallies(compiled, transcript.alice_set, compared, errors)
     mismatches = sum(t.errors for t in tallies.values())
     abort = mismatches > 0
 
-    keys_identical = {
-        i: all(stream == key.streams[key.hub_name] for stream in key.streams.values())
-        for i, key in keys.layers.items()
-    }
     layer_rates = analysis.key_rate_report(keys, rounds)
     retention = {
         i: {
-            "retained_rounds": retained_counts[i],
-            "retention_fraction": retained_counts[i] / rounds if rounds else 0.0,
+            "retained_rounds": count,
+            "retention_fraction": count / rounds if rounds else 0.0,
         }
-        for i in retained_counts
+        for i, count in enumerate(transcript.retained.sum(axis=0).tolist())
     }
 
-    mi = _mutual_information_summary(transcript, compiled, keys)
-    eve_mi = _eve_information(transcript, compiled, bobs, attack)
+    mi = mutual_information_summary(transcript, compiled, keys)
+    eve_mi = eve_information(transcript, compiled, attack)
     if eve_mi is not None:
         mi["eve_prepared_index"] = eve_mi
 
     detection = {
-        "checked_rounds": checked_rounds,
+        "checked_rounds": int(np.count_nonzero(transcript.check)),
         "check_mismatches": mismatches,
     }
 
@@ -329,71 +332,103 @@ def report_from_transcript(
         participants=tallies,
         layer_rates=layer_rates,
         retention=retention,
-        keys_identical=keys_identical,
+        keys_identical=keys_identical(keys),
         mutual_information=mi,
         detection=detection,
         pinpoint=analysis.pinpoint_eve(network, tallies),
-        attack=None if attack is None or attack.kind == "none" else _attack_summary(attack),
+        attack=attack_summary(attack),
     )
     return report
 
 
-def _attack_summary(attack: AttackSpec) -> dict:
+def slot_tallies(compiled: resgen.CompiledStates, sets: np.ndarray, compared: np.ndarray,
+                 errors: np.ndarray) -> dict[str, analysis.ErrorTally]:
+    """Per participant, the tally of the (rounds, slots) masks' column of their slot."""
+    names = [compiled.network.names[coding.participant] for coding in compiled.codings]
+    return {
+        name: analysis.ErrorTally.from_masks(sets, compared[:, slot], errors[:, slot])
+        for slot, name in enumerate(names)
+    }
+
+
+def keys_identical(keys: KeyMaterial) -> dict[int, bool]:
+    """Per layer: every member's stream equals the hub's."""
+    return {
+        i: all(stream == key.streams[key.hub_name] for stream in key.streams.values())
+        for i, key in keys.layers.items()
+    }
+
+
+def attack_summary(attack: AttackSpec | None) -> dict | None:
+    if attack is None or attack.kind == "none":
+        return None
     doc = {"kind": attack.kind, "target": attack.target, "probability": attack.probability}
     if attack.fidelity is not None:
         doc["F"] = attack.fidelity
     return doc
 
 
-def _mutual_information_summary(transcript, compiled, keys: KeyMaterial) -> dict:
-    """Hub-member agreement per layer plus outsider leakage onto each key."""
+def _rows_of(index: np.ndarray, rounds) -> np.ndarray:
+    """Row holding each round number; the last such row when one repeats."""
+    order = np.argsort(index, kind="stable")
+    return order[np.searchsorted(index[order], np.asarray(rounds, dtype=np.int64), side="right") - 1]
+
+
+def mutual_information_summary(transcript, compiled: resgen.CompiledStates, keys: KeyMaterial) -> dict:
+    """Hub-member agreement per layer plus outsider leakage onto each key.
+
+    An outsider's outcomes are read in the key rounds; a negative outcome
+    (a participant that reflected) carries no symbol and is left out.
+    """
     network = compiled.network
     bobs = [coding.participant for coding in compiled.codings]
-    outcome_by_round = {rec.index: rec.outcomes for rec in transcript}
 
     hub_member: dict[str, dict[str, float]] = {}
     outsider: dict[str, dict[str, float]] = {}
     for i, key in keys.layers.items():
-        hub_stream = key.streams[key.hub_name]
+        hub_stream = np.asarray(key.streams[key.hub_name])
         if len(hub_stream) < 2:
             continue
-        hub_member[str(i)] = {}
-        for name, stream in key.streams.items():
-            if name == key.hub_name:
-                continue
-            hub_member[str(i)][name] = analysis.empirical_mi(hub_stream, stream)
+        hub_member[str(i)] = {
+            name: analysis.empirical_mi(hub_stream, np.asarray(stream))
+            for name, stream in key.streams.items()
+            if name != key.hub_name
+        }
         members = set(network.layer_non_hub(i))
+        rows = _rows_of(transcript.index, key.rounds)
         leak: dict[str, float] = {}
         for slot, j in enumerate(bobs):
             if j in members:
                 continue
-            stream = [outcome_by_round[r][slot] for r in key.rounds]
-            leak[network.names[j]] = analysis.empirical_mi(stream, hub_stream)
+            stream = transcript.outcomes[rows, slot]
+            known = stream >= 0
+            if np.count_nonzero(known) >= 2:
+                leak[network.names[j]] = analysis.empirical_mi(stream[known], hub_stream[known])
         if leak:
             outsider[str(i)] = leak
     return {"hub_member": hub_member, "outsider_key": outsider}
 
 
-def _eve_information(transcript, compiled, bobs, attack: AttackSpec | None):
+def _eve_features(e: EveRecord) -> tuple:
+    return (e.basis or 0, e.outcome if e.outcome is not None else -1) + tuple(e.ancillas)
+
+
+def eve_information(transcript, compiled: resgen.CompiledStates, attack: AttackSpec | None):
     """Plug-in MI between the eavesdropper's records and the prepared index."""
     if attack is None or attack.kind == "none":
         return None
     network = compiled.network
+    bobs = [coding.participant for coding in compiled.codings]
     try:
         slot = bobs.index(network.index_of(attack.target))
     except (KeyError, ValueError):
         return None
+    rows = np.array(sorted(transcript.eve), dtype=np.int64)
     by_set: dict[str, float] = {}
     for set_id in (1, 2):
-        feats: list[tuple] = []
-        prepared: list[int] = []
-        for rec in transcript:
-            if rec.eve is None or rec.alice_set != set_id:
-                continue
-            e = rec.eve
-            feats.append((e.basis or 0, e.outcome if e.outcome is not None else -1) + tuple(e.ancillas))
-            state = compiled.prepare_set(set_id).states[rec.alice_state]
-            prepared.append(state.indices[slot])
-        if len(feats) >= 2:
-            by_set[str(set_id)] = analysis.empirical_mi(analysis.symbol_codes(feats), prepared)
+        picked = rows[transcript.alice_set[rows] == set_id]
+        if len(picked) >= 2:
+            feats = [_eve_features(transcript.eve[r]) for r in picked.tolist()]
+            prepared = prepared_indices(compiled, transcript.alice_set[picked], transcript.alice_state[picked])
+            by_set[str(set_id)] = analysis.empirical_mi(analysis.symbol_codes(feats), prepared[:, slot])
     return by_set or None

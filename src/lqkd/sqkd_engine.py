@@ -12,7 +12,7 @@ which all of a layer's members measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,11 +23,16 @@ from .nettop import Layer, Network, require_valid
 from .qkd_engine import (
     ConfigError,
     KeyMaterial,
-    LayerKey,
     RunResult,
-    layer_alphabets,
+    attack_summary,
+    columns_equal,
+    decode_keys,
+    eve_information,
+    keys_identical,
+    layer_slots,
+    mutual_information_summary,
     prepared_indices,
-    row_tuples,
+    slot_tallies,
 )
 
 # measure, measure_joint, measure_ancillas and pick_outcome are not called
@@ -43,7 +48,7 @@ from .seeding import round_rngs, stream_rng
 
 MEASURE = "measure"
 REFLECT = "reflect"
-ACTIONS = (MEASURE, REFLECT)  # indexed by the drawn action
+ACTIONS = (MEASURE, REFLECT)  # indexed by the drawn action code
 
 
 @dataclass(frozen=True)
@@ -60,17 +65,26 @@ class SqkdConfig:
         return math.ceil(8 * self.key_length * (1.0 + self.delta))
 
 
-@dataclass
-class SqkdRound:
-    """One two-way round: actions, outcomes, and the hub's return outcomes."""
+@dataclass(eq=False)
+class SqkdTranscript:
+    """Every round of a two-way run, one column per field.
 
-    index: int
-    alice_set: int
-    alice_state: int
-    actions: tuple[str, ...]
-    outcomes: tuple[Optional[int], ...]
-    returns: tuple[int, ...]
-    eve: Optional[EveRecord] = None
+    Row r holds round ``index[r]``; slots are the non-hub participants in
+    index order.
+    """
+
+    index: np.ndarray  # (rounds,) round numbers
+    alice_set: np.ndarray  # (rounds,) prepare set id, 1 or 2
+    alice_state: np.ndarray  # (rounds,) state drawn from the set
+    actions: np.ndarray  # (rounds, slots) action code, an index into ACTIONS
+    outcomes: np.ndarray  # (rounds, slots) participant's outcome; -1 where not measured
+    returns: np.ndarray  # (rounds, slots) hub's outcome on the returned subsystem
+    eve: dict[int, EveRecord] = field(default_factory=dict)  # row -> Eve's record, attacked rows only
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    __eq__ = columns_equal
 
 
 def _validate(config: SqkdConfig) -> None:
@@ -81,8 +95,8 @@ def _validate(config: SqkdConfig) -> None:
         raise ConfigError(f"delta must be > 0, got {config.delta}")
 
 
-def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> list[SqkdRound]:
-    """Draw every round of a run; its arrays are freed before keys and report are built."""
+def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> SqkdTranscript:
+    """Draw every round of a run as the columns of its transcript."""
     network = config.network
     bobs = [coding.participant for coding in compiled.codings]
     dims = [coding.dim for coding in compiled.codings]
@@ -106,7 +120,7 @@ def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: 
     attack_u = stream_rng(seed, "attack").random(size=rounds)
 
     prepared = prepared_indices(compiled, sets, state_draws)
-    measured = action_draws == 0
+    measured = action_draws == ACTIONS.index(MEASURE)
     outcomes = np.empty((rounds, len(bobs)), dtype=np.int64)
     returns = np.empty_like(prepared)
     for slot, dim in enumerate(dims):
@@ -116,42 +130,29 @@ def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: 
         # fresh computational resend, remeasured in the prepared basis
         resent = pick_outcomes(table[0, sets - 1, outcomes[:, slot]], return_u[:, slot])
         returns[:, slot] = np.where(measured[:, slot], resent, prepared[:, slot])
-    outcome_cells = outcomes.astype(object)
-    outcome_cells[~measured] = None
+    outcomes[~measured] = -1
 
     eves: dict[int, EveRecord] = {}
     if channel is not None:
         attacked = np.flatnonzero(attack_u < attack.probability).tolist()
         for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
-            outcome_cells[r, target_slot], returns[r, target_slot], eves[r] = channel.two_way_round(
+            outcome, returns[r, target_slot], eves[r] = channel.two_way_round(
                 resgen.set_basis(int(sets[r])),
                 int(prepared[r, target_slot]),
                 bool(measured[r, target_slot]),
                 rng,
             )
+            outcomes[r, target_slot] = -1 if outcome is None else outcome
 
-    transcript = [
-        SqkdRound(
-            index=r,
-            alice_set=set_id,
-            alice_state=state_index,
-            actions=tuple(ACTIONS[a] for a in acts),
-            outcomes=outs,
-            returns=rets,
-            eve=eves.get(r),
-        )
-        for r, (set_id, state_index, acts, outs, rets) in enumerate(
-            zip(
-                sets.tolist(),
-                state_draws.tolist(),
-                row_tuples(action_draws),
-                row_tuples(outcome_cells),
-                row_tuples(returns),
-            )
-        )
-    ]
-
-    return transcript
+    return SqkdTranscript(
+        index=np.arange(rounds),
+        alice_set=sets,
+        alice_state=state_draws,
+        actions=action_draws,
+        outcomes=outcomes,
+        returns=returns,
+        eve=eves,
+    )
 
 
 def run_sqkd(config: SqkdConfig) -> RunResult:
@@ -168,52 +169,18 @@ def run_sqkd(config: SqkdConfig) -> RunResult:
     return RunResult(transcript=transcript, keys=keys, report=report)
 
 
-def extract_sqkd_keys(transcript, compiled: resgen.CompiledStates) -> KeyMaterial:
+def extract_sqkd_keys(transcript: SqkdTranscript, compiled: resgen.CompiledStates) -> KeyMaterial:
     """Key streams per layer: computational-set rounds where every member measured."""
-    network = compiled.network
-    hub_name = network.names[network.hub]
-    slots = {coding.participant: slot for slot, coding in enumerate(compiled.codings)}
-    alphabets = layer_alphabets(compiled)
-
-    material = KeyMaterial()
-    for i in range(len(network.layers)):
-        members = network.layer_non_hub(i)
-        member_names = [network.names[j] for j in members]
-        rounds: list[int] = []
-        streams: dict[str, list[int]] = {hub_name: []}
-        for name in member_names:
-            streams[name] = []
-        for rec in transcript:
-            if rec.alice_set != 1:
-                continue
-            if any(rec.actions[slots[j]] != MEASURE for j in members):
-                continue
-            state = compiled.set1.states[rec.alice_state]
-            hub_symbol = state.layer_symbols[i]
-            if hub_symbol is None:
-                continue
-            decoded = []
-            for j in members:
-                coding = compiled.codings[slots[j]]
-                decoded.append(coding.symbols_for(rec.outcomes[slots[j]])[i])
-            if any(s is None for s in decoded):
-                continue
-            rounds.append(rec.index)
-            streams[hub_name].append(hub_symbol)
-            for name, symbol in zip(member_names, decoded):
-                streams[name].append(symbol)
-        material.layers[i] = LayerKey(
-            layer=i,
-            alphabet=alphabets[i],
-            hub_name=hub_name,
-            rounds=tuple(rounds),
-            streams={name: tuple(vals) for name, vals in streams.items()},
-        )
-    return material
+    measured = transcript.actions == ACTIONS.index(MEASURE)
+    computational = transcript.alice_set == 1
+    sifted = np.stack(
+        [computational & measured[:, slots].all(axis=1) for slots in layer_slots(compiled.network)], axis=1
+    )
+    return decode_keys(transcript, compiled, sifted)
 
 
 def sqkd_report_from_transcript(
-    transcript,
+    transcript: SqkdTranscript,
     compiled: resgen.CompiledStates,
     keys: KeyMaterial,
     attack: AttackSpec | None = None,
@@ -221,33 +188,22 @@ def sqkd_report_from_transcript(
     """Assemble the analysis report for a two-way transcript."""
     network = compiled.network
     rounds = len(transcript)
-    bobs = [coding.participant for coding in compiled.codings]
-    names = [network.names[j] for j in bobs]
 
+    sets = transcript.alice_set
+    prepared = prepared_indices(compiled, sets, transcript.alice_state)
+    reflected = transcript.actions == ACTIONS.index(REFLECT)
+    # measured computational-set subsystems feed the key comparisons
+    measured_key = ~reflected & (sets == 1)[:, None]
     # reflected subsystems: the hub must recover exactly what it sent
-    reflect_tallies = {name: analysis.ErrorTally() for name in names}
-    # measured computational-set subsystems: hub return vs participant outcome
-    resend_tallies = {name: analysis.ErrorTally() for name in names}
+    reflect_tallies = slot_tallies(compiled, sets, reflected, transcript.returns != prepared)
+    # hub return vs participant outcome
+    resend_tallies = slot_tallies(compiled, sets, measured_key, transcript.returns != transcript.outcomes)
     # participant outcome vs prepared index (key-correlation errors)
-    outcome_tallies = {name: analysis.ErrorTally() for name in names}
-
-    for rec in transcript:
-        state = compiled.prepare_set(rec.alice_set).states[rec.alice_state]
-        for slot, name in enumerate(names):
-            prepared_index = state.indices[slot]
-            if rec.actions[slot] == REFLECT:
-                reflect_tallies[name].add(rec.alice_set, rec.returns[slot] != prepared_index)
-            elif rec.alice_set == 1:
-                outcome_tallies[name].add(1, rec.outcomes[slot] != prepared_index)
-                resend_tallies[name].add(1, rec.returns[slot] != rec.outcomes[slot])
+    outcome_tallies = slot_tallies(compiled, sets, measured_key, transcript.outcomes != prepared)
 
     reflect_mismatches = sum(t.errors for t in reflect_tallies.values())
     abort = reflect_mismatches > 0
 
-    keys_identical = {
-        i: all(stream == key.streams[key.hub_name] for stream in key.streams.values())
-        for i, key in keys.layers.items()
-    }
     layer_rates = analysis.key_rate_report(keys, rounds)
     retention = {
         i: {
@@ -257,8 +213,8 @@ def sqkd_report_from_transcript(
         for i, key in keys.layers.items()
     }
 
-    mi = _sqkd_mutual_information(transcript, compiled, keys)
-    eve_mi = _sqkd_eve_information(transcript, compiled, bobs, attack)
+    mi = mutual_information_summary(transcript, compiled, keys)
+    eve_mi = eve_information(transcript, compiled, attack)
     if eve_mi is not None:
         mi["eve_prepared_index"] = eve_mi
 
@@ -275,73 +231,12 @@ def sqkd_report_from_transcript(
         participants=outcome_tallies,
         layer_rates=layer_rates,
         retention=retention,
-        keys_identical=keys_identical,
+        keys_identical=keys_identical(keys),
         mutual_information=mi,
         detection=detection,
         pinpoint=analysis.pinpoint_eve(network, outcome_tallies),
-        attack=None if attack is None or attack.kind == "none" else {
-            "kind": attack.kind,
-            "target": attack.target,
-            "probability": attack.probability,
-            **({"F": attack.fidelity} if attack.fidelity is not None else {}),
-        },
+        attack=attack_summary(attack),
     )
-
-
-def _sqkd_mutual_information(transcript, compiled, keys: KeyMaterial) -> dict:
-    network = compiled.network
-    bobs = [coding.participant for coding in compiled.codings]
-    outcome_by_round = {rec.index: rec.outcomes for rec in transcript}
-
-    hub_member: dict[str, dict[str, float]] = {}
-    outsider: dict[str, dict[str, float]] = {}
-    for i, key in keys.layers.items():
-        hub_stream = key.streams[key.hub_name]
-        if len(hub_stream) < 2:
-            continue
-        hub_member[str(i)] = {
-            name: analysis.empirical_mi(hub_stream, stream)
-            for name, stream in key.streams.items()
-            if name != key.hub_name
-        }
-        members = set(network.layer_non_hub(i))
-        leak: dict[str, float] = {}
-        for slot, j in enumerate(bobs):
-            if j in members:
-                continue
-            stream = [outcome_by_round[r][slot] for r in key.rounds]
-            pairs = [(x, y) for x, y in zip(stream, hub_stream) if x is not None]
-            if len(pairs) >= 2:
-                leak[network.names[j]] = analysis.empirical_mi(
-                    [p[0] for p in pairs], [p[1] for p in pairs]
-                )
-        if leak:
-            outsider[str(i)] = leak
-    return {"hub_member": hub_member, "outsider_key": outsider}
-
-
-def _sqkd_eve_information(transcript, compiled, bobs, attack: AttackSpec | None):
-    if attack is None or attack.kind == "none":
-        return None
-    network = compiled.network
-    try:
-        slot = bobs.index(network.index_of(attack.target))
-    except (KeyError, ValueError):
-        return None
-    by_set: dict[str, float] = {}
-    for set_id in (1, 2):
-        feats = []
-        prepared = []
-        for rec in transcript:
-            if rec.eve is None or rec.alice_set != set_id:
-                continue
-            e = rec.eve
-            feats.append((e.basis or 0, e.outcome if e.outcome is not None else -1) + tuple(e.ancillas))
-            state = compiled.prepare_set(set_id).states[rec.alice_state]
-            prepared.append(state.indices[slot])
-        if len(feats) >= 2:
-            by_set[str(set_id)] = analysis.empirical_mi(analysis.symbol_codes(feats), prepared)
-    return by_set or None
 
 
 def two_party_network(hub_name: str = "Alice", peer_name: str = "Bob") -> Network:

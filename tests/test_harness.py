@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -167,6 +168,21 @@ def test_sweep_config_block_replays_the_sweep(demo_network, tmp_path):
     assert canonical_report_bytes(replayed.document) == canonical_report_bytes(saved)
 
 
+def test_detection_sweep_config_block_replays_its_trials(demo_network, tmp_path):
+    spec = _qkd_spec(
+        demo_network,
+        attack={"kind": "intercept_resend", "target": "Bob1"},
+        sweep=("l", (1, 2)),
+        trials=500,
+        out_dir=str(tmp_path),
+    )
+    run_experiment(spec)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["config"]["trials"] == 500
+    replayed = run_experiment(spec_from_dict(saved["config"]))
+    assert canonical_report_bytes(replayed.document) == canonical_report_bytes(saved)
+
+
 def test_cloning_sweep_carries_information_curves(demo_network):
     spec = _qkd_spec(
         demo_network,
@@ -212,10 +228,7 @@ def test_qkd_transcript_round_trip(demo_network, tmp_path):
     path = tmp_path / "t.csv"
     write_qkd_transcript(path, result.transcript, demo_network)
     loaded = read_qkd_transcript(path, demo_network)
-    stripped = [
-        type(rec)(**{**rec.__dict__, "eve": None}) for rec in result.transcript
-    ]
-    assert loaded == stripped
+    assert loaded == dataclasses.replace(result.transcript, eve={})
 
 
 def test_analyze_matches_engine_report(demo_network, tmp_path):
@@ -231,9 +244,8 @@ def test_sqkd_transcript_round_trip_and_analyze(demo_network, tmp_path):
     path = tmp_path / "t.csv"
     write_sqkd_transcript(path, result.transcript, demo_network)
     loaded = read_sqkd_transcript(path, demo_network)
-    assert [(r.actions, r.outcomes, r.returns) for r in loaded] == [
-        (r.actions, r.outcomes, r.returns) for r in result.transcript
-    ]
+    for column in ("actions", "outcomes", "returns"):
+        assert np.array_equal(getattr(loaded, column), getattr(result.transcript, column))
     rebuilt = analyze_transcript("sqkd", demo_network, path)
     assert canonical_json(rebuilt.to_dict()) == canonical_json(result.report.to_dict())
 

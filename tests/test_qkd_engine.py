@@ -5,44 +5,49 @@ from lqkd.attacks import AttackSpec
 from lqkd.qkd_engine import (
     ConfigError,
     QkdConfig,
-    RoundRecord,
+    QkdTranscript,
     extract_keys,
     run_qkd,
-    sift,
-    sift_choices,
+    sift_layers,
 )
 
 
 def _record(alice_set, state, bases, outcomes, retained, check=False, index=0):
-    return RoundRecord(
-        index=index,
-        alice_set=alice_set,
-        alice_state=state,
-        bases=bases,
-        outcomes=outcomes,
-        retained_for=retained,
-        used_for_check=check,
+    return {"index": index, "alice_set": alice_set, "alice_state": state, "bases": bases,
+            "outcomes": outcomes, "retained": retained, "check": check}
+
+
+def _transcript(*records, layers=2):
+    """A hand-built transcript with one row per record."""
+    return QkdTranscript(
+        **{key: np.array([rec[key] for rec in records])
+           for key in ("index", "alice_set", "alice_state", "bases", "outcomes", "check")},
+        retained=np.array([[i in rec["retained"] for i in range(layers)] for rec in records]),
     )
+
+
+def _sifted(alice_set, bases, network):
+    """Layer ids retained by one round's basis choices."""
+    mask = sift_layers(network, np.array([alice_set]), np.array([bases]))[0]
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 # --- sifting ----------------------------------------------------------------
 
 
 def test_sift_full_match_keeps_both_layers(demo_network):
-    assert sift_choices(1, (1, 1), demo_network) == (0, 1)
-    assert sift_choices(2, (2, 2), demo_network) == (0, 1)
+    assert _sifted(1, (1, 1), demo_network) == (0, 1)
+    assert _sifted(2, (2, 2), demo_network) == (0, 1)
 
 
 def test_sift_partial_match_keeps_first_layer_only(demo_network):
-    assert sift_choices(1, (1, 2), demo_network) == (0,)
-    assert sift_choices(2, (2, 1), demo_network) == (0,)
+    assert _sifted(1, (1, 2), demo_network) == (0,)
+    assert _sifted(2, (2, 1), demo_network) == (0,)
 
 
 def test_sift_mismatch_discards_round(demo_network):
-    assert sift_choices(2, (1, 1), demo_network) == ()
-    assert sift_choices(1, (2, 1), demo_network) == ()
-    rec = _record(2, 0, (1, 1), (0, 0), ())
-    assert sift(rec, demo_network) == ()
+    assert _sifted(2, (1, 1), demo_network) == ()
+    assert _sifted(1, (2, 1), demo_network) == ()
 
 
 # --- key extraction ---------------------------------------------------------
@@ -51,14 +56,14 @@ def test_sift_mismatch_discards_round(demo_network):
 def test_extract_keys_digit_rule(demo_network):
     # outcome 2 splits into first-layer symbol 1 and second-layer symbol 0
     rec = _record(1, 2, (1, 1), (2, 0), (0, 1))
-    keys = extract_keys([rec], demo_network)
+    keys = extract_keys(_transcript(rec), demo_network)
     assert keys.layers[0].streams == {"Alice": (1,), "Bob1": (1,)}
     assert keys.layers[1].streams == {"Alice": (0,), "Bob1": (0,), "Bob2": (0,)}
 
 
 def test_extract_keys_zero_row(demo_network):
     rec = _record(1, 0, (1, 1), (0, 0), (0, 1))
-    keys = extract_keys([rec], demo_network)
+    keys = extract_keys(_transcript(rec), demo_network)
     assert keys.layers[0].streams["Bob1"] == (0,)
     assert keys.layers[1].streams["Bob2"] == (0,)
 
@@ -66,7 +71,7 @@ def test_extract_keys_zero_row(demo_network):
 def test_extract_keys_scaled_digit_rule(scaled_network):
     # six-dimensional outcome 4 has digits (2, 0) under radices (3, 2)
     rec = _record(1, 4, (1, 1), (4, 0), (0, 1))
-    keys = extract_keys([rec], scaled_network)
+    keys = extract_keys(_transcript(rec), scaled_network)
     assert keys.layers[0].streams["Bob1"] == (2,)
     assert keys.layers[1].streams["Bob1"] == (0,)
     assert keys.layers[0].alphabet == 3
@@ -74,14 +79,14 @@ def test_extract_keys_scaled_digit_rule(scaled_network):
 
 def test_extract_keys_skips_checked_rounds(demo_network):
     rec = _record(1, 3, (1, 1), (3, 1), (0, 1), check=True)
-    keys = extract_keys([rec], demo_network)
+    keys = extract_keys(_transcript(rec), demo_network)
     assert keys.layers[0].streams["Alice"] == ()
     assert keys.layers[1].streams["Alice"] == ()
 
 
 def test_extract_keys_partial_round_feeds_only_first_layer(demo_network):
     rec = _record(1, 2, (1, 2), (2, 1), (0,))
-    keys = extract_keys([rec], demo_network)
+    keys = extract_keys(_transcript(rec), demo_network)
     assert keys.layers[0].streams["Bob1"] == (1,)
     assert keys.layers[1].streams["Alice"] == ()
 
@@ -92,7 +97,7 @@ def test_extract_keys_truncated_rule(scaled_network):
         _record(1, 1, (1, 1), (1, 1), (0, 1), index=1),
         _record(1, 2, (1, 1), (2, 1), (0, 1), index=2),
     ]
-    keys = extract_keys(rows, scaled_network, truncated=True)
+    keys = extract_keys(_transcript(*rows), scaled_network, truncated=True)
     # index 0 yields no first-layer symbol; 1 -> 1 and 2 -> 0
     assert keys.layers[0].streams["Alice"] == (1, 0)
     assert keys.layers[0].streams["Bob1"] == (1, 0)
@@ -159,10 +164,13 @@ def test_transcript_is_deterministic(demo_network):
 
 def test_retained_rounds_follow_sifting_rule(demo_network):
     result = run_qkd(QkdConfig(network=demo_network, rounds=300, seed=5))
-    for rec in result.transcript:
-        assert rec.retained_for == sift(rec, demo_network)
-        if rec.used_for_check:
-            assert rec.retained_for
+    t = result.transcript
+    for r in range(len(t)):
+        # a layer is retained when every member measured in the set's basis
+        expected = [all(t.bases[r, slot] == t.alice_set[r] for slot in slots) for slots in ([0], [0, 1])]
+        assert t.retained[r].tolist() == expected
+        if t.check[r]:
+            assert t.retained[r].any()
 
 
 # --- attacked runs ----------------------------------------------------------
@@ -233,14 +241,15 @@ def test_partial_rate_attack_leaves_unattacked_rounds_clean(demo_network):
             attack=AttackSpec(kind="intercept_resend", target="Bob2", probability=0.5),
         )
     )
-    attacked = sum(1 for rec in result.transcript if rec.eve is not None)
+    t = result.transcript
+    attacked = len(t.eve)
     assert abs(attacked / 4000 - 0.5) < 3 * np.sqrt(0.25 / 4000)
     compiled = compile_network(demo_network)
-    for rec in result.transcript:
+    for r in range(len(t)):
         # unattacked checked rounds stay error-free for the qubit holder
-        if rec.eve is None and rec.used_for_check and rec.bases[1] == rec.alice_set:
-            prepared = compiled.prepare_set(rec.alice_set).states[rec.alice_state].indices[1]
-            assert rec.outcomes[1] == prepared
+        if r not in t.eve and t.check[r] and t.bases[r, 1] == t.alice_set[r]:
+            prepared = compiled.prepare_set(int(t.alice_set[r])).states[t.alice_state[r]].indices[1]
+            assert t.outcomes[r, 1] == prepared
 
 
 # --- truncated resource runs ------------------------------------------------

@@ -7,6 +7,7 @@ from lqkd.attacks import AttackSpec, entangle_measure_unitary, simulate_reflect_
 from lqkd.qkd_engine import ConfigError
 from lqkd.qmath import Basis
 from lqkd.sqkd_engine import (
+    ACTIONS,
     MEASURE,
     REFLECT,
     SqkdConfig,
@@ -59,15 +60,16 @@ def test_honest_run_keys_agree(honest_run):
 
 
 def test_only_computational_set_rounds_make_keys(honest_run):
-    by_round = {rec.index: rec for rec in honest_run.transcript}
+    t = honest_run.transcript
+    row_of = {r: row for row, r in enumerate(t.index.tolist())}
     for key in honest_run.keys.layers.values():
         for r in key.rounds:
-            rec = by_round[r]
-            assert rec.alice_set == 1
+            row = row_of[r]
+            assert t.alice_set[row] == 1
             members = {"0": ("Bob1",), "1": ("Bob1", "Bob2")}[str(key.layer)]
             for slot, name in enumerate(("Bob1", "Bob2")):
                 if name in members:
-                    assert rec.actions[slot] == MEASURE
+                    assert ACTIONS[t.actions[row, slot]] == MEASURE
 
 
 def test_key_yield_fractions(honest_run):
@@ -191,12 +193,14 @@ def test_intercept_resend_on_forward_leg(demo_network):
 
 
 def test_reflect_rounds_have_no_outcome(honest_run):
-    for rec in honest_run.transcript[:500]:
+    t = honest_run.transcript
+    for row in range(500):
         for slot in range(2):
-            if rec.actions[slot] == REFLECT:
-                assert rec.outcomes[slot] is None
+            # a negative outcome means "none"
+            if ACTIONS[t.actions[row, slot]] == REFLECT:
+                assert t.outcomes[row, slot] < 0
             else:
-                assert rec.outcomes[slot] is not None
+                assert t.outcomes[row, slot] >= 0
 
 
 def test_two_party_network_shape():
