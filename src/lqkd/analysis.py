@@ -212,18 +212,11 @@ def pinpoint_eve(network: Network, tallies: dict[str, ErrorTally],
                  threshold: float = 0.01, z: float = 3.0) -> PinpointVerdict:
     """Attribute elevated error rates to participants' channels.
 
-    A participant is flagged when their error rate exceeds the threshold
-    with z-sigma significance; a layer stays secure when none of its
-    members is flagged.
+    A participant is flagged when the lower end of their z-sigma error-rate
+    interval (``ErrorTally.confidence_interval``) exceeds the threshold; a
+    layer stays secure when none of its members is flagged.
     """
-    compromised = []
-    for name, tally in tallies.items():
-        if not tally.compared:
-            continue
-        q = tally.qber
-        sigma = math.sqrt(q * (1.0 - q) / tally.compared)
-        if q - z * sigma > threshold:
-            compromised.append(name)
+    compromised = [name for name, tally in tallies.items() if tally.confidence_interval(z)[0] > threshold]
     compromised_ids = {network.index_of(name) for name in compromised}
     secure = tuple(
         i for i, layer in enumerate(network.layers)
@@ -289,7 +282,6 @@ class Report:
     detection: dict
     pinpoint: PinpointVerdict
     attack: Optional[dict] = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         doc = {
@@ -311,6 +303,4 @@ class Report:
         }
         if self.attack:
             doc["attack"] = self.attack
-        if self.extra:
-            doc.update(self.extra)
         return doc

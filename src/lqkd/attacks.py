@@ -310,9 +310,7 @@ def _sample_rows(prob_rows: np.ndarray, row_indices: np.ndarray, rng: np.random.
     cum = np.cumsum(prob_rows, axis=1)
     cum /= cum[:, -1:]
     u = rng.random(row_indices.shape)
-    picked = cum[row_indices.ravel()]
-    out = (u.ravel()[:, None] >= picked).sum(axis=1)
-    return out.reshape(row_indices.shape)
+    return qmath.pick_outcomes(cum[row_indices.ravel()], u.ravel()).reshape(row_indices.shape)
 
 
 # ---------------------------------------------------------------------------

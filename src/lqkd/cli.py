@@ -178,13 +178,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "analyze":
-        if args.protocol == "boyer":
-            network = harness.two_party_network()
-        else:
-            if args.network is None:
-                raise ConfigError("field 'network': required for this protocol")
-            network = nettop.load(args.network)
-        report = harness.analyze_transcript(args.protocol, network, args.transcript, args.truncated)
+        network = None if args.network is None else nettop.to_dict(nettop.load(args.network))
+        spec = harness.ExperimentSpec(protocol=args.protocol, network=network)
+        report = harness.analyze_transcript(args.protocol, spec.resolved_network(), args.transcript, args.truncated)
         doc = {
             "schema_version": harness.SCHEMA_VERSION,
             "report": report.to_dict(),

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, nettop, resgen
 from .attacks import attack_from_dict, intercept_detection_frequency
-from .nettop import Network
+from .nettop import Layer, Network
 from .qkd_engine import (
     ConfigError,
     QkdConfig,
@@ -34,18 +34,36 @@ from .qkd_engine import (
 from .seeding import derive_round_seed, derive_seed  # noqa: F401  (derive_round_seed is public API)
 from .sqkd_engine import (
     ACTIONS,
+    REFLECT,
     SqkdConfig,
     SqkdTranscript,
     extract_sqkd_keys,
-    run_boyer_baseline,
     run_sqkd,
     sqkd_report_from_transcript,
-    two_party_network,
 )
 
 SCHEMA_VERSION = "1"
 PROTOCOLS = ("qkd", "sqkd", "boyer")
 SWEEPABLE = ("F", "probability", "rounds", "key_length", "delta", "seed", "l")
+
+
+def two_party_network(hub_name: str = "Alice", peer_name: str = "Bob") -> Network:
+    """The boyer baseline's network: one layer of two parties, whose sets are
+    {|0>,|1>} and {|+>,|->}."""
+    return Network(names=(hub_name, peer_name), hub=0, layers=(Layer(members=(0, 1), ref_dim=2),))
+
+
+def _engine(protocol: str, truncated: bool) -> str:
+    """The engine that runs ``protocol``: boyer is sqkd on the two-party network.
+
+    The reduced resource family needs two layers, so a truncated boyer run
+    is rejected.
+    """
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"field 'protocol': expected one of {PROTOCOLS}, got {protocol!r}")
+    if protocol == "boyer" and truncated:
+        raise ConfigError("field 'truncated': the boyer baseline has no truncated resource")
+    return "qkd" if protocol == "qkd" else "sqkd"
 
 
 @dataclass(frozen=True)
@@ -187,10 +205,11 @@ def write_qkd_transcript(path, transcript: QkdTranscript, network: Network) -> N
     _write_columns(path, qkd_transcript_columns(network), columns)
 
 
-def read_qkd_transcript(path, network: Network) -> QkdTranscript:
-    n_bobs = len(network.non_hub())
+def read_qkd_transcript(path, compiled: resgen.CompiledStates) -> QkdTranscript:
+    network = compiled.network
+    n_bobs = len(compiled.codings)
     columns = _read_columns(path, qkd_transcript_columns(network))
-    return QkdTranscript(
+    transcript = QkdTranscript(
         index=_ints(columns[0]),
         alice_set=_ints(columns[1]),
         alice_state=_ints(columns[2]),
@@ -199,6 +218,10 @@ def read_qkd_transcript(path, network: Network) -> QkdTranscript:
         retained=_retained_mask(columns[3 + 2 * n_bobs], len(network.layers)),
         check=np.array(columns[4 + 2 * n_bobs], dtype=str) == "1",
     )
+    _check_prepared(transcript, compiled)
+    _require_within(transcript, "basis", transcript.bases, 1, 3)
+    _require_within(transcript, "outcome", transcript.outcomes, 0, _dims(compiled))
+    return transcript
 
 
 def sqkd_transcript_columns(network: Network) -> list[str]:
@@ -220,10 +243,10 @@ def write_sqkd_transcript(path, transcript: SqkdTranscript, network: Network) ->
     _write_columns(path, sqkd_transcript_columns(network), columns)
 
 
-def read_sqkd_transcript(path, network: Network) -> SqkdTranscript:
-    n_bobs = len(network.non_hub())
-    columns = _read_columns(path, sqkd_transcript_columns(network))
-    return SqkdTranscript(
+def read_sqkd_transcript(path, compiled: resgen.CompiledStates) -> SqkdTranscript:
+    n_bobs = len(compiled.codings)
+    columns = _read_columns(path, sqkd_transcript_columns(compiled.network))
+    transcript = SqkdTranscript(
         index=_ints(columns[0]),
         alice_set=_ints(columns[1]),
         alice_state=_ints(columns[2]),
@@ -233,6 +256,34 @@ def read_sqkd_transcript(path, network: Network) -> SqkdTranscript:
         ),
         returns=_ints(columns[3 + 2 * n_bobs : 3 + 3 * n_bobs]).T,
     )
+    _check_prepared(transcript, compiled)
+    # only a participant that reflected has no outcome
+    reflected_none = (transcript.actions == ACTIONS.index(REFLECT)) & (transcript.outcomes == -1)
+    _require_within(transcript, "outcome", np.where(reflected_none, 0, transcript.outcomes), 0, _dims(compiled))
+    _require_within(transcript, "return", transcript.returns, 0, _dims(compiled))
+    return transcript
+
+
+def _dims(compiled: resgen.CompiledStates) -> np.ndarray:
+    return np.array([coding.dim for coding in compiled.codings], dtype=np.int64)
+
+
+def _check_prepared(transcript, compiled: resgen.CompiledStates) -> None:
+    _require_within(transcript, "set", transcript.alice_set, 1, 3)
+    _require_within(transcript, "state", transcript.alice_state, 0, compiled.size)
+
+
+def _require_within(transcript, column: str, values: np.ndarray, low: int, high) -> None:
+    """Reject a cell outside [low, high): a value the network cannot produce.
+
+    ``high`` may hold one bound per participant column.
+    """
+    outside = (values < low) | (values >= high)
+    if outside.any():
+        row = np.argwhere(outside)[0]
+        raise ConfigError(
+            f"transcript round {transcript.index[row[0]]}: {column} {values[tuple(row)]} lies outside the network"
+        )
 
 
 def _cells(values: np.ndarray, spell=str) -> list[str]:
@@ -317,18 +368,18 @@ def _retained_mask(column: list[str], layers: int) -> np.ndarray:
 
 def analyze_transcript(protocol: str, network: Network, path, truncated: bool = False) -> analysis.Report:
     """Recompute the full report from a persisted transcript."""
-    compiled = resgen.compile_truncated(network) if truncated else resgen.compile_network(network)
-    if protocol == "qkd":
-        transcript = read_qkd_transcript(path, network)
+    engine = _engine(protocol, truncated)
+    compiled = resgen.compile_states(network, truncated)
+    if engine == "qkd":
+        transcript = read_qkd_transcript(path, compiled)
         keys = extract_keys_compiled(transcript, compiled)
-        return report_from_transcript("qkd", transcript, compiled, keys)
-    if protocol in ("sqkd", "boyer"):
-        transcript = read_sqkd_transcript(path, network)
+        report = report_from_transcript("qkd", transcript, compiled, keys)
+    else:
+        transcript = read_sqkd_transcript(path, compiled)
         keys = extract_sqkd_keys(transcript, compiled)
         report = sqkd_report_from_transcript(transcript, compiled, keys)
-        report.protocol = protocol
-        return report
-    raise ConfigError(f"field 'protocol': expected one of {PROTOCOLS}, got {protocol!r}")
+    report.protocol = protocol
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +399,12 @@ def _worker_count(points: int) -> int:
 
 
 def _run_protocol(spec: ExperimentSpec) -> RunResult:
+    engine = _engine(spec.protocol, spec.truncated)
     attack = attack_from_dict(spec.attack)
-    if spec.protocol == "qkd":
+    if engine == "qkd":
         if spec.rounds is None:
             raise ConfigError("field 'rounds': required for the qkd protocol")
-        return run_qkd(
+        result = run_qkd(
             QkdConfig(
                 network=spec.resolved_network(),
                 rounds=spec.rounds,
@@ -362,10 +414,10 @@ def _run_protocol(spec: ExperimentSpec) -> RunResult:
                 truncated=spec.truncated,
             )
         )
-    if spec.protocol == "sqkd":
+    else:
         if spec.key_length is None:
-            raise ConfigError("field 'key_length': required for the sqkd protocol")
-        return run_sqkd(
+            raise ConfigError(f"field 'key_length': required for the {spec.protocol} protocol")
+        result = run_sqkd(
             SqkdConfig(
                 network=spec.resolved_network(),
                 key_length=spec.key_length,
@@ -375,16 +427,8 @@ def _run_protocol(spec: ExperimentSpec) -> RunResult:
                 truncated=spec.truncated,
             )
         )
-    if spec.protocol == "boyer":
-        if spec.key_length is None:
-            raise ConfigError("field 'key_length': required for the boyer protocol")
-        return run_boyer_baseline(
-            key_length=spec.key_length,
-            delta=spec.delta,
-            seed=spec.seed,
-            attack=attack,
-        )
-    raise ConfigError(f"field 'protocol': expected one of {PROTOCOLS}, got {spec.protocol!r}")
+    result.report.protocol = spec.protocol
+    return result
 
 
 def _sweep_point_spec(spec: ExperimentSpec, param: str, value) -> ExperimentSpec:
@@ -526,7 +570,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 def states_document(network: Network, truncated: bool = False, amplitudes: bool = False) -> dict:
     """JSON description of the compiled prepare sets."""
-    compiled = resgen.compile_truncated(network) if truncated else resgen.compile_network(network)
+    compiled = resgen.compile_states(network, truncated)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "participants": [network.names[c.participant] for c in compiled.codings],

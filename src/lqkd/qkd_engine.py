@@ -200,8 +200,7 @@ def decode_keys(transcript, compiled: resgen.CompiledStates, sifted: np.ndarray)
 
 def extract_keys(transcript: QkdTranscript, network: Network, truncated: bool = False) -> KeyMaterial:
     """Decode per-layer key streams from a sifted transcript."""
-    compiled = resgen.compile_truncated(network) if truncated else resgen.compile_network(network)
-    return extract_keys_compiled(transcript, compiled)
+    return extract_keys_compiled(transcript, resgen.compile_states(network, truncated))
 
 
 def extract_keys_compiled(transcript: QkdTranscript, compiled: resgen.CompiledStates) -> KeyMaterial:
@@ -219,32 +218,34 @@ def _validate(config: QkdConfig) -> None:
         raise ConfigError("two-way attacks require a two-way protocol; use the semi-quantum engine")
 
 
-def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> QkdTranscript:
-    """Draw every round of a run as the columns of its transcript."""
-    network = config.network
+def bind_attack(attack: AttackSpec | None, compiled: resgen.CompiledStates) -> tuple[int, ChannelAttack | None]:
+    """The attacked slot and the attack bound to its subsystem; (-1, None) without an attack."""
+    if attack is None or attack.kind == "none":
+        return -1, None
     bobs = [coding.participant for coding in compiled.codings]
+    target = compiled.network.index_of(attack.target)
+    if target not in bobs:
+        raise ConfigError(f"attack target {attack.target!r} holds no subsystem")
+    slot = bobs.index(target)
+    return slot, build_channel_attack(attack, compiled.codings[slot].dim)
+
+
+def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates) -> QkdTranscript:
+    """Draw every round of a run as the columns of its transcript."""
     dims = [coding.dim for coding in compiled.codings]
     rounds = config.rounds
     seed = config.seed
-
-    channel: ChannelAttack | None = None
-    target_slot = -1
-    if attack.kind != "none":
-        target = network.index_of(attack.target)
-        if target not in bobs:
-            raise ConfigError(f"attack target {attack.target!r} holds no subsystem")
-        target_slot = bobs.index(target)
-        channel = build_channel_attack(attack, dims[target_slot])
+    target_slot, channel = bind_attack(config.attack, compiled)
 
     sets = stream_rng(seed, "alice_set").integers(1, 3, size=rounds)
     state_draws = stream_rng(seed, "alice_state").integers(0, compiled.size, size=rounds)
-    basis_draws = stream_rng(seed, "bob_basis").integers(1, 3, size=(rounds, len(bobs)))
-    outcome_u = stream_rng(seed, "outcome").random(size=(rounds, len(bobs)))
+    basis_draws = stream_rng(seed, "bob_basis").integers(1, 3, size=(rounds, len(dims)))
+    outcome_u = stream_rng(seed, "outcome").random(size=(rounds, len(dims)))
     check_u = stream_rng(seed, "check").random(size=rounds)
     attack_u = stream_rng(seed, "attack").random(size=rounds)
 
     prepared = prepared_indices(compiled, sets, state_draws)
-    outcomes = np.empty((rounds, len(bobs)), dtype=np.int64)
+    outcomes = np.empty((rounds, len(dims)), dtype=np.int64)
     for slot, dim in enumerate(dims):
         # set ids 1 and 2 name the bases in Basis order
         rows = cumulative_transition_table(dim)[sets - 1, basis_draws[:, slot] - 1, prepared[:, slot]]
@@ -252,7 +253,7 @@ def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: A
 
     eves: dict[int, EveRecord] = {}
     if channel is not None:
-        attacked = np.flatnonzero(attack_u < attack.probability).tolist()
+        attacked = np.flatnonzero(attack_u < config.attack.probability).tolist()
         for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
             outcomes[r, target_slot], eves[r] = channel.one_way_round(
                 resgen.set_basis(int(sets[r])),
@@ -261,7 +262,7 @@ def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: A
                 rng,
             )
 
-    retained = sift_layers(network, sets, basis_draws)
+    retained = sift_layers(config.network, sets, basis_draws)
     return QkdTranscript(
         index=np.arange(rounds),
         alice_set=sets,
@@ -277,14 +278,10 @@ def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates, attack: A
 def run_qkd(config: QkdConfig) -> RunResult:
     """Execute the one-way protocol and return transcript, keys, and report."""
     _validate(config)
-    network = config.network
-    compiled = (
-        resgen.compile_truncated(network) if config.truncated else resgen.compile_network(network)
-    )
-    attack = config.attack if config.attack is not None else AttackSpec.none()
-    transcript = _sample_rounds(config, compiled, attack)
+    compiled = resgen.compile_states(config.network, config.truncated)
+    transcript = _sample_rounds(config, compiled)
     keys = extract_keys_compiled(transcript, compiled)
-    report = report_from_transcript("qkd", transcript, compiled, keys, attack)
+    report = report_from_transcript("qkd", transcript, compiled, keys, config.attack)
     return RunResult(transcript=transcript, keys=keys, report=report)
 
 
@@ -296,17 +293,12 @@ def report_from_transcript(
     attack: AttackSpec | None = None,
 ) -> analysis.Report:
     """Assemble the full analysis report for a one-way transcript."""
-    network = compiled.network
     rounds = len(transcript)
-
     # a checked participant is compared when they measured in the set's basis
     compared = transcript.check[:, None] & (transcript.bases == transcript.alice_set[:, None])
     errors = transcript.outcomes != prepared_indices(compiled, transcript.alice_set, transcript.alice_state)
     tallies = slot_tallies(compiled, transcript.alice_set, compared, errors)
     mismatches = sum(t.errors for t in tallies.values())
-    abort = mismatches > 0
-
-    layer_rates = analysis.key_rate_report(keys, rounds)
     retention = {
         i: {
             "retained_rounds": count,
@@ -314,31 +306,55 @@ def report_from_transcript(
         }
         for i, count in enumerate(transcript.retained.sum(axis=0).tolist())
     }
-
-    mi = mutual_information_summary(transcript, compiled, keys)
-    eve_mi = eve_information(transcript, compiled, attack)
-    if eve_mi is not None:
-        mi["eve_prepared_index"] = eve_mi
-
     detection = {
         "checked_rounds": int(np.count_nonzero(transcript.check)),
         "check_mismatches": mismatches,
     }
+    return assemble_report(protocol, transcript, compiled, keys, attack, tallies, mismatches > 0, retention,
+                           detection)
 
-    report = analysis.Report(
+
+def assemble_report(
+    protocol: str,
+    transcript,
+    compiled: resgen.CompiledStates,
+    keys: KeyMaterial,
+    attack: AttackSpec | None,
+    participants: dict[str, analysis.ErrorTally],
+    abort: bool,
+    retention: dict,
+    detection: dict,
+) -> analysis.Report:
+    """A report from a protocol's own tallies, abort verdict, retention and
+    detection blocks, plus the parts every protocol shares: key rates, the
+    mutual-information estimates, key agreement, the pinpoint verdict on
+    ``participants`` and the attack summary."""
+    rounds = len(transcript)
+    mi = mutual_information_summary(transcript, compiled, keys)
+    eve_mi = eve_information(transcript, compiled, attack)
+    if eve_mi is not None:
+        mi["eve_prepared_index"] = eve_mi
+    summary = None
+    if attack is not None and attack.kind != "none":
+        summary = {"kind": attack.kind, "target": attack.target, "probability": attack.probability}
+        if attack.fidelity is not None:
+            summary["F"] = attack.fidelity
+    return analysis.Report(
         protocol=protocol,
         rounds=rounds,
         abort=abort,
-        participants=tallies,
-        layer_rates=layer_rates,
+        participants=participants,
+        layer_rates=analysis.key_rate_report(keys, rounds),
         retention=retention,
-        keys_identical=keys_identical(keys),
+        keys_identical={
+            i: all(stream == key.streams[key.hub_name] for stream in key.streams.values())
+            for i, key in keys.layers.items()
+        },
         mutual_information=mi,
         detection=detection,
-        pinpoint=analysis.pinpoint_eve(network, tallies),
-        attack=attack_summary(attack),
+        pinpoint=analysis.pinpoint_eve(compiled.network, participants),
+        attack=summary,
     )
-    return report
 
 
 def slot_tallies(compiled: resgen.CompiledStates, sets: np.ndarray, compared: np.ndarray,
@@ -349,23 +365,6 @@ def slot_tallies(compiled: resgen.CompiledStates, sets: np.ndarray, compared: np
         name: analysis.ErrorTally.from_masks(sets, compared[:, slot], errors[:, slot])
         for slot, name in enumerate(names)
     }
-
-
-def keys_identical(keys: KeyMaterial) -> dict[int, bool]:
-    """Per layer: every member's stream equals the hub's."""
-    return {
-        i: all(stream == key.streams[key.hub_name] for stream in key.streams.values())
-        for i, key in keys.layers.items()
-    }
-
-
-def attack_summary(attack: AttackSpec | None) -> dict | None:
-    if attack is None or attack.kind == "none":
-        return None
-    doc = {"kind": attack.kind, "target": attack.target, "probability": attack.probability}
-    if attack.fidelity is not None:
-        doc["F"] = attack.fidelity
-    return doc
 
 
 def _rows_of(index: np.ndarray, rounds) -> np.ndarray:
@@ -415,13 +414,8 @@ def _eve_features(e: EveRecord) -> tuple:
 
 def eve_information(transcript, compiled: resgen.CompiledStates, attack: AttackSpec | None):
     """Plug-in MI between the eavesdropper's records and the prepared index."""
-    if attack is None or attack.kind == "none":
-        return None
-    network = compiled.network
-    bobs = [coding.participant for coding in compiled.codings]
-    try:
-        slot = bobs.index(network.index_of(attack.target))
-    except (KeyError, ValueError):
+    slot, channel = bind_attack(attack, compiled)
+    if channel is None:
         return None
     rows = np.array(sorted(transcript.eve), dtype=np.int64)
     by_set: dict[str, float] = {}

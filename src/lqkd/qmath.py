@@ -148,10 +148,6 @@ def pick_outcomes(cumrows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cumrows <= u[:, None]).sum(axis=1), cumrows.shape[1] - 1)
 
 
-def inner(a: Ket | JointState, b: Ket | JointState) -> complex:
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def outcome_distribution(state: Ket, basis: Basis) -> np.ndarray:
     """Born probabilities of each outcome for a projective measurement in ``basis``."""
     mat = basis_matrix(state.dim, basis)

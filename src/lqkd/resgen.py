@@ -57,47 +57,6 @@ class DigitCodec:
         return tuple(reversed(digits))
 
 
-def encode_digits(codec: DigitCodec, digits) -> int:
-    return codec.encode(digits)
-
-
-def decode_digits(codec: DigitCodec, value: int) -> tuple[int, ...]:
-    return codec.decode(value)
-
-
-@dataclass(frozen=True)
-class ReferenceSets:
-    """The two reference sets of one layer.
-
-    State m of either set hands index m to every non-hub member: basis
-    kets of the layer's reference dimension in set 1, their Fourier
-    images in set 2.
-    """
-
-    members: tuple[int, ...]
-    ref_dim: int
-
-    @property
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(range(self.ref_dim))
-
-    def member_indices(self, symbol: int) -> tuple[int, ...]:
-        if not 0 <= symbol < self.ref_dim:
-            raise ValueError(f"symbol {symbol} out of range")
-        return (symbol,) * len(self.members)
-
-    def kets(self, set_id: int, symbol: int) -> tuple[Ket, ...]:
-        basis = set_basis(set_id)
-        return tuple(basis_state(self.ref_dim, basis, i) for i in self.member_indices(symbol))
-
-
-def reference_sets(layer: Layer, hub: int) -> ReferenceSets:
-    members = tuple(sorted(set(layer.members) - {hub}))
-    if not members:
-        raise ValueError("layer has no members besides the hub")
-    return ReferenceSets(members=members, ref_dim=layer.ref_dim)
-
-
 @dataclass(frozen=True)
 class ParticipantCoding:
     """How one participant's local index maps to per-layer key symbols."""
@@ -143,12 +102,6 @@ class CompiledStates:
     @property
     def size(self) -> int:
         return len(self.set1.states)
-
-    def coding_for(self, participant: int) -> ParticipantCoding:
-        for coding in self.codings:
-            if coding.participant == participant:
-                return coding
-        raise KeyError(f"participant {participant} holds no subsystem")
 
     def prepare_set(self, set_id: int) -> PrepareSet:
         return self.set1 if set_id == 1 else self.set2
@@ -254,6 +207,13 @@ def compile_truncated(network: Network) -> CompiledStates:
     )
 
 
+def compile_states(network: Network, truncated: bool = False) -> CompiledStates:
+    """The prepare sets a run uses: the reduced family when ``truncated``, else the general one."""
+    if truncated:
+        return compile_truncated(network)
+    return compile_network(network)
+
+
 def factored_local_ket(compiled: CompiledStates, set_id: int, state_index: int, participant: int) -> Ket:
     """Realize a participant's subsystem as the product of its per-layer factors.
 
@@ -305,33 +265,8 @@ def recompose(network: Network, parts) -> CompiledStates:
     parts = sorted(parts, key=lambda p: p.layer)
     if [p.layer for p in parts] != list(range(len(network.layers))):
         raise ValueError("parts do not cover the network's layers")
-    radices = tuple(p.ref_dim for p in parts)
-    full = DigitCodec(radices)
-
-    codings = []
-    for j in sorted(network.non_hub()):
-        layer_ids = tuple(p.layer for p in parts if j in p.members)
-        codec = DigitCodec(tuple(radices[i] for i in layer_ids))
-        table = tuple(codec.decode(v) for v in range(codec.size))
-        codings.append(ParticipantCoding(participant=j, dim=codec.size, layers=layer_ids, symbol_table=table))
-    codings = tuple(codings)
-
-    states = []
-    for value in range(full.size):
-        symbols = full.decode(value)
-        indices = []
-        for coding in codings:
-            digits = [symbols[i] for i in coding.layers]
-            indices.append(DigitCodec(tuple(radices[i] for i in coding.layers)).encode(digits))
-        states.append(SeparableState(layer_symbols=symbols, indices=tuple(indices)))
-    states = tuple(states)
-
-    return CompiledStates(
-        network=network,
-        codings=codings,
-        set1=PrepareSet(1, Basis.COMPUTATIONAL, states),
-        set2=PrepareSet(2, Basis.FOURIER, states),
-    )
+    layers = tuple(Layer(members=(network.hub, *p.members), ref_dim=p.ref_dim) for p in parts)
+    return compile_network(Network(names=network.names, hub=network.hub, layers=layers))
 
 
 def subnetwork(network: Network, layer_id: int) -> Network:

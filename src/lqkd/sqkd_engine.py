@@ -18,19 +18,17 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, resgen
-from .attacks import AttackSpec, ChannelAttack, EveRecord, build_channel_attack, measure_ancillas  # noqa: F401
-from .nettop import Layer, Network, require_valid
+from .attacks import AttackSpec, EveRecord, measure_ancillas  # noqa: F401
+from .nettop import Network, require_valid
 from .qkd_engine import (
     ConfigError,
     KeyMaterial,
     RunResult,
-    attack_summary,
+    assemble_report,
+    bind_attack,
     columns_equal,
     decode_keys,
-    eve_information,
-    keys_identical,
     layer_slots,
-    mutual_information_summary,
     prepared_indices,
     slot_tallies,
 )
@@ -95,33 +93,23 @@ def _validate(config: SqkdConfig) -> None:
         raise ConfigError(f"delta must be > 0, got {config.delta}")
 
 
-def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: AttackSpec) -> SqkdTranscript:
+def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates) -> SqkdTranscript:
     """Draw every round of a run as the columns of its transcript."""
-    network = config.network
-    bobs = [coding.participant for coding in compiled.codings]
     dims = [coding.dim for coding in compiled.codings]
     rounds = config.rounds
     seed = config.seed
-
-    channel: ChannelAttack | None = None
-    target_slot = -1
-    if attack.kind != "none":
-        target = network.index_of(attack.target)
-        if target not in bobs:
-            raise ConfigError(f"attack target {attack.target!r} holds no subsystem")
-        target_slot = bobs.index(target)
-        channel = build_channel_attack(attack, dims[target_slot])
+    target_slot, channel = bind_attack(config.attack, compiled)
 
     sets = stream_rng(seed, "alice_set").integers(1, 3, size=rounds)
     state_draws = stream_rng(seed, "alice_state").integers(0, compiled.size, size=rounds)
-    action_draws = stream_rng(seed, "bob_action").integers(0, 2, size=(rounds, len(bobs)))
-    measure_u = stream_rng(seed, "outcome").random(size=(rounds, len(bobs)))
-    return_u = stream_rng(seed, "return").random(size=(rounds, len(bobs)))
+    action_draws = stream_rng(seed, "bob_action").integers(0, 2, size=(rounds, len(dims)))
+    measure_u = stream_rng(seed, "outcome").random(size=(rounds, len(dims)))
+    return_u = stream_rng(seed, "return").random(size=(rounds, len(dims)))
     attack_u = stream_rng(seed, "attack").random(size=rounds)
 
     prepared = prepared_indices(compiled, sets, state_draws)
     measured = action_draws == ACTIONS.index(MEASURE)
-    outcomes = np.empty((rounds, len(bobs)), dtype=np.int64)
+    outcomes = np.empty((rounds, len(dims)), dtype=np.int64)
     returns = np.empty_like(prepared)
     for slot, dim in enumerate(dims):
         # set ids 1 and 2 name the bases in Basis order; index 0 is computational
@@ -134,7 +122,7 @@ def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: 
 
     eves: dict[int, EveRecord] = {}
     if channel is not None:
-        attacked = np.flatnonzero(attack_u < attack.probability).tolist()
+        attacked = np.flatnonzero(attack_u < config.attack.probability).tolist()
         for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
             outcome, returns[r, target_slot], eves[r] = channel.two_way_round(
                 resgen.set_basis(int(sets[r])),
@@ -158,14 +146,10 @@ def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates, attack: 
 def run_sqkd(config: SqkdConfig) -> RunResult:
     """Execute the two-way protocol and return transcript, keys, and report."""
     _validate(config)
-    network = config.network
-    compiled = (
-        resgen.compile_truncated(network) if config.truncated else resgen.compile_network(network)
-    )
-    attack = config.attack if config.attack is not None else AttackSpec.none()
-    transcript = _sample_rounds(config, compiled, attack)
+    compiled = resgen.compile_states(config.network, config.truncated)
+    transcript = _sample_rounds(config, compiled)
     keys = extract_sqkd_keys(transcript, compiled)
-    report = sqkd_report_from_transcript(transcript, compiled, keys, attack)
+    report = sqkd_report_from_transcript(transcript, compiled, keys, config.attack)
     return RunResult(transcript=transcript, keys=keys, report=report)
 
 
@@ -186,9 +170,7 @@ def sqkd_report_from_transcript(
     attack: AttackSpec | None = None,
 ) -> analysis.Report:
     """Assemble the analysis report for a two-way transcript."""
-    network = compiled.network
     rounds = len(transcript)
-
     sets = transcript.alice_set
     prepared = prepared_indices(compiled, sets, transcript.alice_state)
     reflected = transcript.actions == ACTIONS.index(REFLECT)
@@ -200,11 +182,8 @@ def sqkd_report_from_transcript(
     resend_tallies = slot_tallies(compiled, sets, measured_key, transcript.returns != transcript.outcomes)
     # participant outcome vs prepared index (key-correlation errors)
     outcome_tallies = slot_tallies(compiled, sets, measured_key, transcript.outcomes != prepared)
-
     reflect_mismatches = sum(t.errors for t in reflect_tallies.values())
-    abort = reflect_mismatches > 0
 
-    layer_rates = analysis.key_rate_report(keys, rounds)
     retention = {
         i: {
             "key_rounds": len(key.rounds),
@@ -212,52 +191,10 @@ def sqkd_report_from_transcript(
         }
         for i, key in keys.layers.items()
     }
-
-    mi = mutual_information_summary(transcript, compiled, keys)
-    eve_mi = eve_information(transcript, compiled, attack)
-    if eve_mi is not None:
-        mi["eve_prepared_index"] = eve_mi
-
     detection = {
         "reflect_checks": {name: t.to_dict() for name, t in reflect_tallies.items()},
         "reflect_mismatches": reflect_mismatches,
         "resend_mismatches": {name: t.errors for name, t in resend_tallies.items()},
     }
-
-    return analysis.Report(
-        protocol="sqkd",
-        rounds=rounds,
-        abort=abort,
-        participants=outcome_tallies,
-        layer_rates=layer_rates,
-        retention=retention,
-        keys_identical=keys_identical(keys),
-        mutual_information=mi,
-        detection=detection,
-        pinpoint=analysis.pinpoint_eve(network, outcome_tallies),
-        attack=attack_summary(attack),
-    )
-
-
-def two_party_network(hub_name: str = "Alice", peer_name: str = "Bob") -> Network:
-    """Single-layer two-party network; its sets reduce to {|0>,|1>} / {|+>,|->}."""
-    return Network(names=(hub_name, peer_name), hub=0, layers=(Layer(members=(0, 1), ref_dim=2),))
-
-
-def run_boyer_baseline(
-    key_length: int,
-    delta: float = 0.25,
-    seed: int = 0,
-    attack: Optional[AttackSpec] = None,
-) -> RunResult:
-    """Two-party semi-quantum baseline: the layered engine on the minimal network."""
-    config = SqkdConfig(
-        network=two_party_network(),
-        key_length=key_length,
-        delta=delta,
-        seed=seed,
-        attack=attack,
-    )
-    result = run_sqkd(config)
-    result.report.protocol = "boyer"
-    return result
+    return assemble_report("sqkd", transcript, compiled, keys, attack, outcome_tallies, reflect_mismatches > 0,
+                           retention, detection)

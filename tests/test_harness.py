@@ -20,6 +20,7 @@ from lqkd.harness import (
     write_sqkd_transcript,
 )
 from lqkd.qkd_engine import ConfigError, QkdConfig, run_qkd
+from lqkd.resgen import compile_network
 from lqkd.seeding import _seed_sequence_words, derive_round_seed, round_rng, round_rngs
 from lqkd.sqkd_engine import SqkdConfig, run_sqkd
 
@@ -227,7 +228,7 @@ def test_qkd_transcript_round_trip(demo_network, tmp_path):
     result = run_qkd(QkdConfig(network=demo_network, rounds=400, seed=3))
     path = tmp_path / "t.csv"
     write_qkd_transcript(path, result.transcript, demo_network)
-    loaded = read_qkd_transcript(path, demo_network)
+    loaded = read_qkd_transcript(path, compile_network(demo_network))
     assert loaded == dataclasses.replace(result.transcript, eve={})
 
 
@@ -243,7 +244,7 @@ def test_sqkd_transcript_round_trip_and_analyze(demo_network, tmp_path):
     result = run_sqkd(SqkdConfig(network=demo_network, key_length=60, seed=21))
     path = tmp_path / "t.csv"
     write_sqkd_transcript(path, result.transcript, demo_network)
-    loaded = read_sqkd_transcript(path, demo_network)
+    loaded = read_sqkd_transcript(path, compile_network(demo_network))
     for column in ("actions", "outcomes", "returns"):
         assert np.array_equal(getattr(loaded, column), getattr(result.transcript, column))
     rebuilt = analyze_transcript("sqkd", demo_network, path)
@@ -255,7 +256,24 @@ def test_transcript_header_must_match_network(demo_network, pair_network, tmp_pa
     path = tmp_path / "t.csv"
     write_qkd_transcript(path, result.transcript, demo_network)
     with pytest.raises(ConfigError):
-        read_qkd_transcript(path, pair_network)
+        read_qkd_transcript(path, compile_network(pair_network))
+
+
+def test_boyer_rejects_the_truncated_resource(tmp_path):
+    # the reduced family needs two layers; the two-party network has one
+    spec = {"protocol": "boyer", "key_length": 20, "seed": 1, "truncated": True}
+    with pytest.raises(ConfigError, match="truncated"):
+        run_experiment(spec_from_dict(spec))
+    run = run_experiment(spec_from_dict({**spec, "truncated": False, "out_dir": str(tmp_path),
+                                         "write_transcript": True}))
+    transcript = run.paths["transcript"]
+    with pytest.raises(ConfigError, match="truncated"):
+        analyze_transcript("boyer", harness.two_party_network(), transcript, truncated=True)
+    rebuilt = analyze_transcript("boyer", harness.two_party_network(), transcript)
+    assert canonical_json(rebuilt.to_dict()) == canonical_json(run.report.to_dict())
+    proc = _cli("analyze", "--protocol", "boyer", "--transcript", transcript, "--truncated")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "truncated" in proc.stderr
 
 
 # --- compiled-states document -----------------------------------------------------

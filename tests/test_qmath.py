@@ -153,7 +153,7 @@ def test_apply_joint_preserves_norm_and_inner_products():
         ua = apply_joint(u, sa, (0, 1))
         ub = apply_joint(u, sb, (0, 1))
         assert abs(np.linalg.norm(ua.amplitudes) - 1.0) < 1e-10
-        assert abs(qmath.inner(ua, ub) - qmath.inner(sa, sb)) < 1e-10
+        assert abs(np.vdot(ua.amplitudes, ub.amplitudes) - np.vdot(sa.amplitudes, sb.amplitudes)) < 1e-10
 
 
 def test_apply_joint_on_non_adjacent_subsystems():

@@ -9,12 +9,9 @@ from lqkd.resgen import (
     DigitCodec,
     compile_network,
     compile_truncated,
-    decode_digits,
     decompose_to_parallel,
-    encode_digits,
     factored_local_ket,
     recompose,
-    reference_sets,
     states_equal,
     subnetwork,
 )
@@ -38,15 +35,15 @@ MINUS = np.array([RT2, -RT2])
 
 def test_codec_binary_pair():
     codec = DigitCodec((2, 2))
-    assert encode_digits(codec, (1, 1)) == 3
-    assert decode_digits(codec, 3) == (1, 1)
-    assert encode_digits(codec, (0, 0)) == 0
+    assert codec.encode((1, 1)) == 3
+    assert codec.decode(3) == (1, 1)
+    assert codec.encode((0, 0)) == 0
 
 
 def test_codec_mixed_radix():
     codec = DigitCodec((3, 2))
-    assert encode_digits(codec, (2, 0)) == 4
-    assert decode_digits(codec, 4) == (2, 0)
+    assert codec.encode((2, 0)) == 4
+    assert codec.decode(4) == (2, 0)
 
 
 def test_codec_rejects_out_of_range():
@@ -65,35 +62,6 @@ def test_codec_bijective(radices):
     codec = DigitCodec(tuple(radices))
     for value in range(codec.size):
         assert codec.encode(codec.decode(value)) == value
-
-
-# --- per-layer reference sets --------------------------------------------
-
-
-def test_reference_sets_single_member_qubit():
-    ref = reference_sets(Layer(members=(0, 1), ref_dim=2), hub=0)
-    assert ref.members == (1,)
-    assert [k.amplitudes.tolist() for k in ref.kets(1, 0)] == [[1, 0]]
-    assert [k.amplitudes.tolist() for k in ref.kets(1, 1)] == [[0, 1]]
-    assert np.allclose(ref.kets(2, 0)[0].amplitudes, PLUS)
-    assert np.allclose(ref.kets(2, 1)[0].amplitudes, MINUS)
-
-
-def test_reference_sets_two_members():
-    ref = reference_sets(Layer(members=(0, 1, 2), ref_dim=2), hub=0)
-    assert ref.members == (1, 2)
-    assert ref.member_indices(0) == (0, 0)
-    assert ref.member_indices(1) == (1, 1)
-    for ket in ref.kets(2, 1):
-        assert np.allclose(ket.amplitudes, MINUS)
-
-
-def test_reference_sets_qutrit():
-    ref = reference_sets(Layer(members=(0, 1), ref_dim=3), hub=0)
-    assert ref.symbols == (0, 1, 2)
-    for m in range(3):
-        assert np.allclose(ref.kets(1, m)[0].amplitudes, basis_ket(3, m).amplitudes)
-        assert np.allclose(ref.kets(2, m)[0].amplitudes, fourier_ket(3, m).amplitudes)
 
 
 # --- network compilation ---------------------------------------------------
@@ -231,7 +199,8 @@ def test_truncated_sets_and_rule(scaled_network):
     assert compiled.truncated
     assert [s.indices for s in compiled.set1.states] == [(0, 0), (1, 1), (2, 1)]
     assert [s.layer_symbols for s in compiled.set1.states] == [(None, 0), (1, 1), (0, 1)]
-    coding = compiled.coding_for(1)
+    coding = compiled.codings[0]
+    assert coding.participant == 1
     assert coding.dim == 3
     assert coding.symbols_for(0) == {0: None, 1: 0}
     assert coding.symbols_for(1) == {0: 1, 1: 1}

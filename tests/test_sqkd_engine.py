@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lqkd.attacks import AttackSpec, entangle_measure_unitary, simulate_reflect_distribution
+from lqkd.harness import run_experiment, spec_from_dict, two_party_network
 from lqkd.qkd_engine import ConfigError
 from lqkd.qmath import Basis
 from lqkd.sqkd_engine import (
@@ -11,9 +12,7 @@ from lqkd.sqkd_engine import (
     MEASURE,
     REFLECT,
     SqkdConfig,
-    run_boyer_baseline,
     run_sqkd,
-    two_party_network,
 )
 
 
@@ -97,8 +96,13 @@ def test_transcripts_are_deterministic(demo_network):
 # --- two-party baseline ------------------------------------------------------
 
 
+def _boyer(key_length, seed, attack=None):
+    spec = {"protocol": "boyer", "key_length": key_length, "delta": 0.25, "seed": seed, "attack": attack}
+    return run_experiment(spec_from_dict(spec)).result
+
+
 def test_boyer_honest_run():
-    result = run_boyer_baseline(1000, delta=0.25, seed=5)
+    result = _boyer(1000, seed=5)
     doc = result.report.to_dict()
     assert result.report.protocol == "boyer"
     assert not result.report.abort
@@ -109,7 +113,7 @@ def test_boyer_honest_run():
 
 
 def test_boyer_key_yield_quarter():
-    result = run_boyer_baseline(2000, delta=0.25, seed=6)
+    result = _boyer(2000, seed=6)
     rounds = result.report.rounds
     frac = len(result.keys.layers[0].rounds) / rounds
     assert abs(frac - 0.25) < 3 * np.sqrt(0.25 * 0.75 / rounds)
@@ -138,9 +142,7 @@ def _expected_intercept_reflect_mismatch() -> float:
 def test_boyer_intercept_resend_detection_rate():
     oracle = _expected_intercept_reflect_mismatch()
     assert oracle == pytest.approx(0.25, abs=1e-12)
-    result = run_boyer_baseline(
-        2500, seed=8, attack=AttackSpec(kind="intercept_resend", target="Bob")
-    )
+    result = _boyer(2500, seed=8, attack={"kind": "intercept_resend", "target": "Bob"})
     assert result.report.abort
     checks = result.report.to_dict()["detection"]["reflect_checks"]["Bob"]
     n = checks["compared"]

@@ -504,13 +504,17 @@ def qkd_transcripts(draw):
 @st.composite
 def sqkd_transcripts(draw):
     n = draw(st.integers(0, 25))
+    actions = _ints(draw, 0, 1, (n, 2))
+    outcomes = np.stack([_ints(draw, -1, 3, (n,)), _ints(draw, -1, 1, (n,))], axis=1)
+    # only a participant that reflected may have no outcome
+    outcomes[(outcomes < 0) & (actions == ACTIONS.index(MEASURE))] = 0
     return SqkdTranscript(
         index=_round_numbers(draw, n),
         alice_set=_ints(draw, 1, 2, (n,)),
         alice_state=_ints(draw, 0, 3, (n,)),
-        actions=_ints(draw, 0, 1, (n, 2)),
-        outcomes=_ints(draw, -1, 3, (n, 2)),
-        returns=_ints(draw, 0, 3, (n, 2)),
+        actions=actions,
+        outcomes=outcomes,
+        returns=np.stack([_ints(draw, 0, 3, (n,)), _ints(draw, 0, 1, (n,))], axis=1),
     )
 
 
@@ -518,7 +522,7 @@ def _round_trip(write, read, t):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write(path, t, DEMO)
-        return path.read_bytes().decode("utf-8"), read(path, DEMO)
+        return path.read_bytes().decode("utf-8"), read(path, compile_network(DEMO))
 
 
 @settings(max_examples=60, deadline=None)
@@ -567,6 +571,48 @@ def _unknown_action(rows):
     rows[1][rows[0].index("action_Bob1")] = "bounce"
 
 
+def _set_cell(column, value, row_is=lambda header, row: True):
+    """An edit writing ``value`` into ``column`` of the first data row ``row_is`` accepts."""
+
+    def edit(rows):
+        row = next(row for row in rows[1:] if row_is(rows[0], row))
+        row[rows[0].index(column)] = value
+
+    edit.__name__ = f"{column}={value or 'empty'}"
+    return edit
+
+
+def _retained(header, row):
+    return row[header.index("retained")] != ""
+
+
+def _measured(header, row):
+    return row[header.index("action_Bob1")] == MEASURE
+
+
+def _reflected(header, row):
+    return row[header.index("action_Bob1")] == REFLECT
+
+
+# cells the DEMO network cannot produce: Bob1 holds a d = 4 qudit, Bob2 a
+# qubit, and each set has four states
+OUTSIDE_THE_NETWORK = [
+    ("qkd", _set_cell("outcome_Bob1", "-1", _retained)),
+    ("qkd", _set_cell("outcome_Bob2", "2")),
+    ("qkd", _set_cell("basis_Bob1", "7")),
+    ("qkd", _set_cell("basis_Bob2", "0")),
+    ("qkd", _set_cell("set", "3")),
+    ("qkd", _set_cell("state", "99")),
+    ("qkd", _set_cell("state", "-1")),
+    ("sqkd", _set_cell("outcome_Bob1", "", _measured)),
+    ("sqkd", _set_cell("outcome_Bob1", "4", _measured)),
+    ("sqkd", _set_cell("outcome_Bob1", "-2", _reflected)),
+    ("sqkd", _set_cell("return_Bob2", "2")),
+    ("sqkd", _set_cell("set", "0")),
+    ("sqkd", _set_cell("state", "4")),
+]
+
+
 @pytest.mark.parametrize("protocol", ["qkd", "sqkd"])
 def test_header_mismatch_raises_config_error(protocol, pair_network, tmp_path):
     path = tmp_path / "t.csv"
@@ -577,13 +623,13 @@ def test_header_mismatch_raises_config_error(protocol, pair_network, tmp_path):
         write_sqkd_transcript(path, _sqkd_run("honest")[0].transcript, DEMO)
         read = read_sqkd_transcript
     with pytest.raises(ConfigError, match="header"):
-        read(path, pair_network)
+        read(path, compile_network(pair_network))
 
 
 @pytest.mark.parametrize(
     "protocol, edit",
     [("qkd", _drop_cell), ("qkd", _quote_cells), ("qkd", _unknown_layer), ("sqkd", _drop_cell),
-     ("sqkd", _unknown_action)],
+     ("sqkd", _unknown_action)] + OUTSIDE_THE_NETWORK,
 )
 def test_malformed_transcripts_raise_config_error(protocol, edit, tmp_path):
     path = tmp_path / "t.csv"
@@ -593,10 +639,25 @@ def test_malformed_transcripts_raise_config_error(protocol, edit, tmp_path):
     else:
         write_sqkd_transcript(path, _sqkd_run("honest")[0].transcript, DEMO)
         read = read_sqkd_transcript
-    read(path, DEMO)
+    read(path, compile_network(DEMO))
     _rewrite(path, edit)
     with pytest.raises(ConfigError):
-        read(path, DEMO)
+        read(path, compile_network(DEMO))
+
+
+def test_truncated_transcript_rejects_states_and_outcomes_outside_the_reduced_family(tmp_path):
+    # the general construction on SCALED_NET has six states and a d = 6 Bob1;
+    # the reduced family has three states and a qutrit
+    result, compiled, _ = _qkd_run("honest-truncated")
+    path = tmp_path / "t.csv"
+    write_qkd_transcript(path, result.transcript, compiled.network)
+    assert read_qkd_transcript(path, compiled) == dataclasses.replace(result.transcript, eve={})
+    for edit in (_set_cell("state", "3"), _set_cell("outcome_Bob1", "3")):
+        write_qkd_transcript(path, result.transcript, compiled.network)
+        _rewrite(path, edit)
+        read_qkd_transcript(path, compile_network(compiled.network))
+        with pytest.raises(ConfigError):
+            read_qkd_transcript(path, compiled)
 
 
 def test_saved_report_json_is_unchanged_by_meta_counts(tmp_path):
