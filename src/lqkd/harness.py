@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, nettop, resgen
-from .attacks import attack_from_dict, intercept_detection_frequency
+from .attacks import AttackSpec, attack_from_dict, intercept_detection_frequency
 from .nettop import Layer, Network
 from .qkd_engine import (
     ConfigError,
@@ -198,25 +197,30 @@ def qkd_transcript_columns(network: Network) -> list[str]:
 
 
 def write_qkd_transcript(path, transcript: QkdTranscript, network: Network) -> None:
-    columns = [_cells(transcript.index), _cells(transcript.alice_set), _cells(transcript.alice_state)]
-    columns += [_cells(column) for column in transcript.bases.T]
-    columns += [_cells(column) for column in transcript.outcomes.T]
-    columns += [_retained_cells(transcript.retained), _cells(transcript.check, _fmt)]
-    _write_columns(path, qkd_transcript_columns(network), columns)
+    layers = transcript.retained.shape[1]
+    patterns = transcript.retained.astype(np.int64) @ (1 << np.arange(layers, dtype=np.int64))
+    distinct, retained_codes = np.unique(patterns, return_inverse=True)
+    retained_spellings = [_layer_ids([bits >> i & 1 for i in range(layers)]) for bits in distinct.tolist()]
+    columns = [_decimal(transcript.index), _decimal(transcript.alice_set), _decimal(transcript.alice_state)]
+    columns += [_decimal(column) for column in transcript.bases.T]
+    columns += [_decimal(column) for column in transcript.outcomes.T]
+    columns += [_spelled(retained_codes, retained_spellings), _decimal(transcript.check)]
+    _write_table(path, qkd_transcript_columns(network), columns)
 
 
 def read_qkd_transcript(path, compiled: resgen.CompiledStates) -> QkdTranscript:
     network = compiled.network
     n_bobs = len(compiled.codings)
-    columns = _read_columns(path, qkd_transcript_columns(network))
+    layers = len(network.layers)
+    table = _CsvTable(path, qkd_transcript_columns(network))
     transcript = QkdTranscript(
-        index=_ints(columns[0]),
-        alice_set=_ints(columns[1]),
-        alice_state=_ints(columns[2]),
-        bases=_ints(columns[3 : 3 + n_bobs]).T,
-        outcomes=_ints(columns[3 + n_bobs : 3 + 2 * n_bobs]).T,
-        retained=_retained_mask(columns[3 + 2 * n_bobs], len(network.layers)),
-        check=np.array(columns[4 + 2 * n_bobs], dtype=str) == "1",
+        index=table.integers(0),
+        alice_set=table.integers(1),
+        alice_state=table.integers(2),
+        bases=table.integer_block(3, n_bobs),
+        outcomes=table.integer_block(3 + n_bobs, n_bobs),
+        retained=table.choices(3 + 2 * n_bobs, lambda cell: _retained_row(cell, layers), bool, (layers,)),
+        check=table.choices(4 + 2 * n_bobs, lambda cell: _choice(cell, ("0", "1")), bool),
     )
     _check_prepared(transcript, compiled)
     _require_within(transcript, "basis", transcript.bases, 1, 3)
@@ -235,26 +239,25 @@ def sqkd_transcript_columns(network: Network) -> list[str]:
 
 
 def write_sqkd_transcript(path, transcript: SqkdTranscript, network: Network) -> None:
-    columns = [_cells(transcript.index), _cells(transcript.alice_set), _cells(transcript.alice_state)]
-    columns += [_cells(column, ACTIONS.__getitem__) for column in transcript.actions.T]
+    columns = [_decimal(transcript.index), _decimal(transcript.alice_set), _decimal(transcript.alice_state)]
+    columns += [_spelled(column, ACTIONS) for column in transcript.actions.T]
     # a participant that reflected has no outcome: an empty cell
-    columns += [_cells(column, lambda v: "" if v < 0 else str(v)) for column in transcript.outcomes.T]
-    columns += [_cells(column) for column in transcript.returns.T]
-    _write_columns(path, sqkd_transcript_columns(network), columns)
+    columns += [_decimal(column, empty=-1) for column in transcript.outcomes.T]
+    columns += [_decimal(column) for column in transcript.returns.T]
+    _write_table(path, sqkd_transcript_columns(network), columns)
 
 
 def read_sqkd_transcript(path, compiled: resgen.CompiledStates) -> SqkdTranscript:
     n_bobs = len(compiled.codings)
-    columns = _read_columns(path, sqkd_transcript_columns(compiled.network))
+    table = _CsvTable(path, sqkd_transcript_columns(compiled.network))
     transcript = SqkdTranscript(
-        index=_ints(columns[0]),
-        alice_set=_ints(columns[1]),
-        alice_state=_ints(columns[2]),
-        actions=np.stack([_parse_cells(c, _action_code) for c in columns[3 : 3 + n_bobs]], axis=1),
-        outcomes=np.stack(
-            [_parse_cells(c, lambda v: int(v) if v else -1) for c in columns[3 + n_bobs : 3 + 2 * n_bobs]], axis=1
-        ),
-        returns=_ints(columns[3 + 2 * n_bobs : 3 + 3 * n_bobs]).T,
+        index=table.integers(0),
+        alice_set=table.integers(1),
+        alice_state=table.integers(2),
+        actions=np.stack([table.choices(3 + s, lambda cell: _choice(cell, ACTIONS), np.int64)
+                          for s in range(n_bobs)], axis=1),
+        outcomes=table.integer_block(3 + n_bobs, n_bobs, empty=-1),
+        returns=table.integer_block(3 + 2 * n_bobs, n_bobs),
     )
     _check_prepared(transcript, compiled)
     # only a participant that reflected has no outcome
@@ -286,84 +289,206 @@ def _require_within(transcript, column: str, values: np.ndarray, low: int, high)
         )
 
 
-def _cells(values: np.ndarray, spell=str) -> list[str]:
-    """The CSV cell of each value, spelled once per distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([spell(v) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+def _layer_ids(kept) -> str:
+    """A retained cell: the ids of the kept layers, ascending and ';'-joined."""
+    return ";".join(str(i) for i, k in enumerate(kept) if k)
 
 
-def _retained_cells(retained: np.ndarray) -> list[str]:
-    """';'-joined ids of the retained layers, spelled once per distinct bit pattern."""
-    layers = retained.shape[1]
-    patterns = retained.astype(np.int64) @ (1 << np.arange(layers, dtype=np.int64))
-    return _cells(patterns, lambda bits: ";".join(str(i) for i in range(layers) if bits >> i & 1))
+def _retained_row(cell: str, layers: int) -> list[bool]:
+    tokens = cell.split(";")
+    kept = [str(i) in tokens for i in range(layers)]
+    if _layer_ids(kept) == cell:
+        return kept
+    if any(v.isascii() and v.isdigit() and int(v) >= layers for v in tokens if len(v) < 10):
+        raise ConfigError("retains unknown layers")
+    raise ConfigError("is not a list of ascending ';'-joined layer ids")
 
 
-def _write_columns(path_or_buf, header, columns) -> None:
-    """Write equal-length columns of cells that need no quoting: the bytes
-    ``write_csv`` gives for the same rows, joined without a per-row call."""
-    own = isinstance(path_or_buf, (str, Path))
-    handle = open(path_or_buf, "w", newline="", encoding="utf-8") if own else path_or_buf
-    try:
-        csv.writer(handle).writerow(header)
-        lines = "\r\n".join(map(",".join, zip(*columns)))
-        if lines:
-            handle.write(lines + "\r\n")
-    finally:
-        if own:
-            handle.close()
+def _choice(cell: str, spellings) -> int:
+    if cell not in spellings:
+        raise ConfigError(f"is not one of {tuple(spellings)}")
+    return spellings.index(cell)
 
 
-def _read_columns(path, header: list[str]) -> list[list[str]]:
-    """The columns of a CSV table whose first row must be ``header``.
+# ---------------------------------------------------------------------------
+# Transcript CSV codec
+#
+# Transcript cells never need quoting, so the file is handled as bytes: the
+# writer lays the rows out in a uint8 matrix, one field per column, and the
+# reader finds the separators of the whole body once and parses each column
+# from the bytes. The written bytes are those of csv.writer, and the reader
+# accepts only that spelling of each cell; lines may end in CR LF, LF or a
+# lone CR, and the last line end may be missing.
 
-    Transcript cells never need quoting, so the body is split on line
-    ends and commas as a whole instead of row by row.
+_PAD = 0  # fills the unused places of a field; dropped when the rows are joined
+_COMMA, _LF, _CR, _QUOTE, _ZERO = b',\n\r"0'
+
+
+def _decimal(values: np.ndarray, empty: Optional[int] = None) -> np.ndarray:
+    """The (rows, width) byte field of non-negative integers in decimal,
+    right-aligned behind padding; ``empty`` is the value written as an empty cell."""
+    values = np.asarray(values, dtype=np.int64)
+    blank = None if empty is None else values == empty
+    if blank is not None:
+        values = np.where(blank, 0, values)
+    if values.min(initial=0) < 0:
+        raise ValueError("transcript integer cells must be non-negative")
+    width = len(str(values.max(initial=0)))
+    field = np.empty((len(values), width), dtype=np.uint8)
+    rest = values
+    for place in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        field[:, place] = digit + _ZERO
+        if place < width - 1:
+            field[values < 10 ** (width - 1 - place), place] = _PAD  # a leading zero
+    if blank is not None:
+        field[blank] = _PAD
+    return field
+
+
+def _spelled(codes: np.ndarray, spellings) -> np.ndarray:
+    """The (rows, width) byte field of ``spellings[code]``, each spelling encoded once."""
+    table = np.full((len(spellings), max(map(len, spellings), default=0)), _PAD, dtype=np.uint8)
+    for k, text in enumerate(spellings):
+        table[k, : len(text)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return table[codes]
+
+
+def _header_line(header: list[str]) -> bytes:
+    """The header row as csv.writer spells it, CR LF included."""
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    return head.getvalue().encode("utf-8")
+
+
+def _write_table(path_or_buf, header: list[str], fields: list[np.ndarray]) -> None:
+    """Write the header row and one row per field row: the bytes ``write_csv``
+    gives for the same cells."""
+    rows = len(fields[0])
+    matrix = np.full((rows, sum(f.shape[1] for f in fields) + len(fields) + 1), _PAD, dtype=np.uint8)
+    at = 0
+    for f in fields:
+        matrix[:, at : at + f.shape[1]] = f
+        at += f.shape[1]
+        matrix[:, at] = _COMMA
+        at += 1
+    matrix[:, at - 1 :] = [_CR, _LF]
+    data = _header_line(header) + matrix[matrix != _PAD].tobytes()
+    if isinstance(path_or_buf, (str, Path)):
+        Path(path_or_buf).write_bytes(data)
+    else:
+        path_or_buf.write(data.decode("utf-8"))
+
+
+class _CsvTable:
+    """The cells of a transcript file whose first row must be ``header``.
+
+    Every row must hold one cell per header column. The cells are located
+    once; each column is parsed from the file's bytes when asked for.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or next(csv.reader(lines[:1])) != header:
-        raise ConfigError("transcript header does not match the network's participants")
-    body = lines[1:]
-    if {line.count(",") for line in body} - {len(header) - 1}:
-        raise ConfigError("transcript rows must have one cell per header column")
-    joined = ",".join(body)
-    if '"' in joined:
-        raise ConfigError("transcript cells must not be quoted")
-    cells = joined.split(",") if body else []
-    return [cells[k :: len(header)] for k in range(len(header))]
 
+    def __init__(self, path, header: list[str]):
+        data = Path(path).read_bytes()
+        expected = _header_line(header)[:-2]
+        line_end = data[len(expected) : len(expected) + 2]
+        if not data.startswith(expected) or line_end[:1] not in (b"\n", b"\r", b""):
+            raise ConfigError("transcript header does not match the network's participants")
+        offset = len(expected) + (2 if line_end == b"\r\n" else 1)
+        if len(data) > offset and data[-1:] not in (b"\n", b"\r"):
+            data += b"\n"
+        self.body = body = np.frombuffer(data, dtype=np.uint8, offset=min(offset, len(data)))
+        self.header = header
+        # the separators, and the bytes no cell may hold, sort at or below the
+        # comma; the CR of a CR LF pair is part of the line end the LF marks
+        mark = body <= _COMMA
+        cr = np.flatnonzero(body[:-1] == _CR)
+        mark[cr[body[cr + 1] == _LF]] = False
+        marks = np.flatnonzero(mark)
+        del mark
+        byte = body[marks]
+        separator = (byte == _COMMA) | (byte == _LF) | (byte == _CR)
+        if not separator.all():
+            # a NUL would read as padding
+            if ((byte == _QUOTE) | (byte == _PAD)).any():
+                raise ConfigError("transcript cells must not be quoted or hold NUL bytes")
+            marks, byte = marks[separator], byte[separator]
+        cells = np.diff(np.flatnonzero(byte != _COMMA), prepend=-1)
+        wrong = np.flatnonzero(cells != len(header))
+        if wrong.size:
+            row = int(wrong[0])
+            raise ConfigError(
+                f"transcript row {row + 1} has {cells[row]} cells; rows must have one cell per header column"
+            )
+        # ends[k] holds where each row's k-th cell ends (narrow positions are
+        # quicker to transpose); a line's last cell ends before the CR of a CR LF pair
+        self.ends = marks.reshape(-1, len(header)).T.astype(np.int32 if len(body) < 2**31 else np.int64)
+        self.line_starts = np.zeros_like(self.ends[0])
+        self.line_starts[1:] = self.ends[-1, :-1] + 1
+        self.ends[-1] -= body[self.ends[-1] - 1] == _CR
 
-def _ints(cells) -> np.ndarray:
-    """Integer cells: one column as a 1-D array, a list of columns as a 2-D one."""
-    return np.array(cells, dtype=np.int64)
+    def _cell(self, column: int):
+        """Start and width of every row's cell in ``column``."""
+        start = self.line_starts if column == 0 else self.ends[column - 1] + 1
+        return start, self.ends[column] - start
 
+    def _reject(self, row: int, column: int, why: str):
+        start, width = (int(v[row]) for v in self._cell(column))
+        cell = self.body[start : start + min(width, 40)].tobytes().decode("utf-8", "replace")
+        cell = repr(cell) + ("..." if width > 40 else "")
+        raise ConfigError(f"transcript row {row + 1}, column {self.header[column]!r}: cell {cell} {why}")
 
-def _parse_cells(column: list[str], parse, dtype=np.int64) -> np.ndarray:
-    """Parsed values of a column, each distinct cell parsed once."""
-    codes: dict[str, int] = {}
-    inverse = [codes.setdefault(cell, len(codes)) for cell in column]
-    return np.array([parse(cell) for cell in codes], dtype=dtype)[np.array(inverse, dtype=np.int64)]
+    def integers(self, column: int, empty: Optional[int] = None) -> np.ndarray:
+        """A column of decimal integers: digits only, no leading zero; an
+        empty cell reads as ``empty`` where one is allowed."""
+        start, width = self._cell(column)
+        valid = (width > 0) | (empty is not None)
+        valid &= width <= 18  # fits an int64
+        values = np.zeros(len(start), dtype=np.int64)
+        for place in range(int(min(width.max(initial=0), 18))):
+            inside = place < width
+            # uint8 arithmetic: a byte below '0' wraps past 9
+            digit = np.take(self.body, start + place, mode="clip") - np.uint8(_ZERO)
+            valid &= ~inside | (digit <= 9)
+            if place == 0:
+                valid &= (digit != 0) | (width == 1)
+            values = np.where(inside, values * 10 + digit, values)
+        if not valid.all():
+            self._reject(int(np.argmin(valid)), column, "is not a decimal integer")
+        if empty is not None:
+            values[width == 0] = empty
+        return values
 
+    def integer_block(self, first: int, count: int, empty: Optional[int] = None) -> np.ndarray:
+        """(rows, count) integers of the columns ``first`` .. ``first + count - 1``."""
+        return np.stack([self.integers(first + k, empty) for k in range(count)], axis=1)
 
-def _action_code(cell: str) -> int:
-    if cell not in ACTIONS:
-        raise ConfigError(f"transcript action {cell!r} is not one of {ACTIONS}")
-    return ACTIONS.index(cell)
-
-
-def _retained_mask(column: list[str], layers: int) -> np.ndarray:
-    """(rounds, layers) mask from ';'-joined layer ids."""
-
-    def parse(cell: str) -> list[bool]:
-        kept = {int(v) for v in cell.split(";") if v != ""}
-        if not kept <= set(range(layers)):
-            raise ConfigError(f"transcript retains unknown layers: {cell!r}")
-        return [i in kept for i in range(layers)]
-
-    return _parse_cells(column, parse, bool).reshape(len(column), layers)
+    def choices(self, column: int, parse, dtype, shape: tuple = ()) -> np.ndarray:
+        """``parse(cell)`` of every cell, called once per distinct cell; it
+        raises ConfigError for a cell outside the column's spellings."""
+        start, width = self._cell(column)
+        # each cell's bytes packed eight to a word, so equal cells have equal words
+        words = []
+        for place in range(int(width.max(initial=0))):
+            if place % 8 == 0:
+                words.append(np.zeros(len(start), dtype=np.uint64))
+            byte = np.where(place < width, np.take(self.body, start + place, mode="clip"), _PAD)
+            words[-1] |= byte.astype(np.uint64) << np.uint64(8 * (place % 8))
+        codes = np.zeros(len(start), dtype=np.intp)
+        values = []
+        left = np.ones(len(start), dtype=bool)
+        while left.any():
+            row = int(left.argmax())
+            text = self.body[start[row] : start[row] + width[row]].tobytes().decode("utf-8", "replace")
+            try:
+                values.append(parse(text))
+            except ConfigError as exc:
+                self._reject(row, column, str(exc))
+            same = left.copy()
+            for word in words:
+                same &= word == word[row]
+            codes[same] = len(values) - 1
+            left &= ~same
+        return np.array(values, dtype=dtype).reshape(-1, *shape)[codes]
 
 
 def analyze_transcript(protocol: str, network: Network, path, truncated: bool = False) -> analysis.Report:
@@ -398,15 +523,24 @@ def _worker_count(points: int) -> int:
     return max(1, min(points, cap))
 
 
+def _bound_attack(spec: ExperimentSpec, network: Network) -> AttackSpec:
+    """The spec's attack, whose target must be one of the network's participants."""
+    attack = attack_from_dict(spec.attack)
+    if attack.target is not None and attack.target not in network.names:
+        raise ConfigError(f"field 'attack': target {attack.target!r} is not a participant of the network")
+    return attack
+
+
 def _run_protocol(spec: ExperimentSpec) -> RunResult:
     engine = _engine(spec.protocol, spec.truncated)
-    attack = attack_from_dict(spec.attack)
+    network = spec.resolved_network()
+    attack = _bound_attack(spec, network)
     if engine == "qkd":
         if spec.rounds is None:
             raise ConfigError("field 'rounds': required for the qkd protocol")
         result = run_qkd(
             QkdConfig(
-                network=spec.resolved_network(),
+                network=network,
                 rounds=spec.rounds,
                 check_fraction=spec.check_fraction,
                 seed=spec.seed,
@@ -419,7 +553,7 @@ def _run_protocol(spec: ExperimentSpec) -> RunResult:
             raise ConfigError(f"field 'key_length': required for the {spec.protocol} protocol")
         result = run_sqkd(
             SqkdConfig(
-                network=spec.resolved_network(),
+                network=network,
                 key_length=spec.key_length,
                 delta=spec.delta,
                 seed=spec.seed,
@@ -485,10 +619,10 @@ def _summary_row(param: str, value, spec: ExperimentSpec, result: RunResult) -> 
 
 
 def _detection_sweep_rows(spec: ExperimentSpec, values) -> list[dict]:
-    attack = attack_from_dict(spec.attack)
+    network = spec.resolved_network()
+    attack = _bound_attack(spec, network)
     if attack.kind != "intercept_resend":
         raise ConfigError("field 'sweep': parameter 'l' requires an intercept_resend attack")
-    network = spec.resolved_network()
     d = network.local_dim(network.index_of(attack.target))
     rows = []
     for value in values:
@@ -525,6 +659,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if param == "l":
             rows = _detection_sweep_rows(spec, values)
         else:
+            # imported here: it pulls in threading and logging, which single runs never use
+            from concurrent.futures import ThreadPoolExecutor
+
             points = [_sweep_point_spec(spec, param, v) for v in values]
             with ThreadPoolExecutor(max_workers=_worker_count(len(points))) as pool:
                 results = list(pool.map(_run_protocol, points))

@@ -31,11 +31,8 @@ from .qmath import (  # noqa: F401
     pick_outcome,
     pick_outcomes,
 )
+from .resgen import ConfigError
 from .seeding import round_rngs, stream_rng
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 @dataclass(frozen=True)

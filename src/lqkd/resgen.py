@@ -19,6 +19,10 @@ from .nettop import Layer, Network, require_valid
 from .qmath import Basis, Ket, basis_state
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration."""
+
+
 @dataclass(frozen=True)
 class DigitCodec:
     """Mixed-radix place-value codec; the first digit is most significant."""
@@ -172,13 +176,13 @@ def compile_truncated(network: Network) -> CompiledStates:
     """
     require_valid(network)
     if len(network.layers) != 2:
-        raise ValueError("truncated resource requires exactly two layers")
+        raise ConfigError("truncated resource requires exactly two layers")
     if tuple(layer.ref_dim for layer in network.layers) != (3, 2):
-        raise ValueError("truncated resource requires reference dimensions (3, 2)")
+        raise ConfigError("truncated resource requires reference dimensions (3, 2)")
     first = set(network.layer_non_hub(0))
     second = set(network.layer_non_hub(1))
     if not first <= second:
-        raise ValueError("truncated resource requires first-layer members inside the second layer")
+        raise ConfigError("truncated resource requires first-layer members inside the second layer")
 
     codings = []
     for j in sorted(network.non_hub()):

@@ -379,6 +379,51 @@ def test_cli_rejects_malformed_attack(network_file):
     assert "warp" in proc.stderr
 
 
+def _one_line_error(proc, *words):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert all(word in lines[0] for word in words), lines[0]
+
+
+def test_cli_unknown_attack_target_is_a_one_line_error(network_file, tmp_path):
+    for protocol, size in (("run-qkd", "--rounds"), ("run-sqkd", "--key-length")):
+        proc = _cli(protocol, "--network", str(network_file), size, "10", "--attack", "cloning:Carol:0.9")
+        _one_line_error(proc, "Carol")
+    proc = _cli("run-qkd", "--network", str(network_file), "--rounds", "10",
+                "--attack", "intercept_resend:Carol", "--sweep", "l=1,2")
+    _one_line_error(proc, "Carol")
+
+
+def test_unknown_attack_target_is_a_config_error(demo_network):
+    for doc in ({"protocol": "qkd", "rounds": 10}, {"protocol": "sqkd", "key_length": 10},
+                {"protocol": "qkd", "rounds": 10, "sweep": ["F", [0.9, 0.8]]}):
+        spec = spec_from_dict({**doc, "network": nettop.to_dict(demo_network),
+                               "attack": {"kind": "cloning", "target": "Carol", "F": 0.9}})
+        with pytest.raises(ConfigError, match="Carol"):
+            run_experiment(spec)
+
+
+def test_cli_truncated_needs_the_reduced_shape(network_file, tmp_path):
+    # the demo network's layers have reference dimensions (2, 2), not (3, 2)
+    _one_line_error(_cli("run-qkd", "--network", str(network_file), "--rounds", "10", "--truncated"),
+                    "(3, 2)")
+    _one_line_error(_cli("build-states", "--network", str(network_file), "--truncated"), "(3, 2)")
+    out = tmp_path / "run"
+    assert _cli("run-qkd", "--network", str(network_file), "--rounds", "50", "--out", str(out),
+                "--transcript").returncode == 0
+    _one_line_error(_cli("analyze", "--protocol", "qkd", "--network", str(network_file), "--transcript",
+                         str(out / "transcript.csv"), "--truncated"), "(3, 2)")
+
+
+def test_import_leaves_the_sweep_thread_pool_unloaded():
+    # only sweeps use concurrent.futures, which pulls in threading and logging
+    code = "import sys, lqkd; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["False", "False"], proc.stderr
+
+
 def test_cli_attack_preset_shorthand(network_file, tmp_path):
     out = tmp_path / "preset"
     proc = _cli(

@@ -582,6 +582,19 @@ def _set_cell(column, value, row_is=lambda header, row: True):
     return edit
 
 
+def _misspell_last(column, old, new):
+    """An edit writing ``new`` over the last ``old`` in ``column``: a cell one
+    byte away from a spelling the reader has already met in earlier rows."""
+
+    def edit(rows):
+        k = rows[0].index(column)
+        row = [row for row in rows[1:] if row[k] == old][-1]
+        row[k] = new
+
+    edit.__name__ = f"last {column}={new}"
+    return edit
+
+
 def _retained(header, row):
     return row[header.index("retained")] != ""
 
@@ -626,10 +639,38 @@ def test_header_mismatch_raises_config_error(protocol, pair_network, tmp_path):
         read(path, compile_network(pair_network))
 
 
+# cells inside the network's ranges but not spelled as the writer spells
+# them: each was read as a number (or as "not checked") or raised a bare
+# ValueError before the reader parsed the file's bytes
+NOT_CANONICAL = [
+    ("qkd", _set_cell("state", "abc")),
+    ("qkd", _set_cell("round", "")),
+    ("qkd", _set_cell("outcome_Bob2", "1.5")),
+    ("qkd", _set_cell("set", "+1")),
+    ("qkd", _set_cell("state", " 3")),
+    ("qkd", _set_cell("round", "1_0")),
+    ("qkd", _set_cell("state", "\u0663")),  # ARABIC-INDIC DIGIT THREE
+    ("qkd", _set_cell("round", "-0")),
+    ("qkd", _set_cell("round", "007")),
+    ("qkd", _set_cell("check", "yes")),
+    ("qkd", _set_cell("check", "2")),
+    ("qkd", _set_cell("retained", "1;0")),
+    ("qkd", _set_cell("retained", "01")),
+    ("sqkd", _set_cell("return_Bob1", "abc")),
+    ("sqkd", _set_cell("outcome_Bob1", "+1", _measured)),
+    ("sqkd", _set_cell("return_Bob2", " 0")),
+    ("sqkd", _set_cell("state", "\u0663")),
+    ("qkd", _misspell_last("retained", "0;1", "0:1")),
+    ("qkd", _misspell_last("retained", "0;1", "0;1;")),
+    ("sqkd", _misspell_last("action_Bob1", "measure", "mEasure")),
+    ("sqkd", _misspell_last("action_Bob2", "reflect", "reflecT")),
+]
+
+
 @pytest.mark.parametrize(
     "protocol, edit",
     [("qkd", _drop_cell), ("qkd", _quote_cells), ("qkd", _unknown_layer), ("sqkd", _drop_cell),
-     ("sqkd", _unknown_action)] + OUTSIDE_THE_NETWORK,
+     ("sqkd", _unknown_action)] + OUTSIDE_THE_NETWORK + NOT_CANONICAL,
 )
 def test_malformed_transcripts_raise_config_error(protocol, edit, tmp_path):
     path = tmp_path / "t.csv"
@@ -667,3 +708,156 @@ def test_saved_report_json_is_unchanged_by_meta_counts(tmp_path):
     saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert saved["meta"]["dropped_by_decoding"] == {"0": 0, "1": 0}
     assert canonical_report_bytes(saved) == canonical_report_bytes(out.document)
+
+
+# --- the byte codec's edge cases ---------------------------------------------------
+
+
+def _written(write, t, network=DEMO) -> bytes:
+    buf = io.StringIO()
+    write(buf, t, network)
+    return buf.getvalue().encode("utf-8")
+
+
+def _honest(protocol):
+    """An honest run's transcript as the reader returns it (no Eve records), its writer and its reader."""
+    if protocol == "qkd":
+        return dataclasses.replace(_qkd_run("honest")[0].transcript, eve={}), write_qkd_transcript, \
+            read_qkd_transcript
+    return dataclasses.replace(_sqkd_run("honest")[0].transcript, eve={}), write_sqkd_transcript, \
+        read_sqkd_transcript
+
+
+def _read_bytes(read, data: bytes, tmp_path, network=DEMO):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    return read(path, compile_network(network))
+
+
+@pytest.mark.parametrize("line_ends", ["lf", "cr", "mixed", "no-final", "lf-no-final", "cr-no-final"])
+@pytest.mark.parametrize("protocol", ["qkd", "sqkd"])
+def test_any_line_end_and_a_missing_final_one_are_read(protocol, line_ends, tmp_path):
+    t, write, read = _honest(protocol)
+    data = _written(write, t)
+    assert data.count(b"\r\n") == len(t) + 1
+    lines = data.split(b"\r\n")[:-1]
+    if line_ends == "mixed":
+        ends = [(b"\r\n", b"\n", b"\r")[k % 3] for k in range(len(lines))]
+        data = b"".join(line + end for line, end in zip(lines, ends))
+    else:
+        end = {"lf": b"\n", "cr": b"\r", "no-final": b"\r\n"}.get(line_ends.removesuffix("-no-final"), b"\r\n")
+        data = end.join(lines) + (b"" if line_ends.endswith("no-final") else end)
+    assert _read_bytes(read, data, tmp_path) == t
+
+
+@pytest.mark.parametrize("data", [b"\r\n\r\n", b"\n\n", b"\r\r", b"\r\n\n"])
+def test_a_blank_line_is_a_row_of_one_cell(data, tmp_path):
+    t = _qkd_run("honest")[0].transcript
+    with pytest.raises(ConfigError, match="one cell per header column"):
+        _read_bytes(read_qkd_transcript, _written(write_qkd_transcript, t)[:-2] + data, tmp_path)
+
+
+def _empty_qkd():
+    z = np.zeros(0, dtype=np.int64)
+    return QkdTranscript(index=z, alice_set=z, alice_state=z, bases=np.zeros((0, 2), np.int64),
+                         outcomes=np.zeros((0, 2), np.int64), retained=np.zeros((0, 2), bool),
+                         check=np.zeros(0, bool))
+
+
+def _empty_sqkd():
+    z = np.zeros(0, dtype=np.int64)
+    pair = np.zeros((0, 2), np.int64)
+    return SqkdTranscript(index=z, alice_set=z, alice_state=z, actions=pair, outcomes=pair, returns=pair)
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\n", b"\r", b""])
+def test_header_only_transcripts(line_end, tmp_path):
+    for empty, write, read, columns, reference in (
+        (_empty_qkd(), write_qkd_transcript, read_qkd_transcript, qkd_transcript_columns, reference_qkd_csv),
+        (_empty_sqkd(), write_sqkd_transcript, read_sqkd_transcript, sqkd_transcript_columns, reference_sqkd_csv),
+    ):
+        data = _written(write, empty)
+        assert data == reference(empty, DEMO).encode()
+        assert data == (",".join(columns(DEMO)) + "\r\n").encode()
+        loaded = _read_bytes(read, data[:-2] + line_end, tmp_path)
+        assert loaded == empty
+        assert {f.name: getattr(loaded, f.name).shape for f in dataclasses.fields(loaded) if f.name != "eve"} == {
+            f.name: getattr(empty, f.name).shape for f in dataclasses.fields(empty) if f.name != "eve"}
+
+
+def test_header_must_match_byte_for_byte(tmp_path):
+    data = _written(write_qkd_transcript, _qkd_run("honest")[0].transcript)
+    for edited in (b" " + data, data.replace(b"round", b"Round", 1), data.replace(b"check\r\n", b"check,\r\n", 1),
+                   data.replace(b"check\r\n", b"check", 1)[:60], b""):
+        with pytest.raises(ConfigError, match="header"):
+            _read_bytes(read_qkd_transcript, edited, tmp_path)
+
+
+def test_round_numbers_of_different_widths_share_a_column(tmp_path):
+    t = _qkd_run("honest")[0].transcript
+    index = np.arange(len(t), dtype=np.int64)
+    index[:6] = [1, 10**6, 7, 0, 12345, 999999]
+    t = dataclasses.replace(t, index=index, eve={})
+    data = _written(write_qkd_transcript, t)
+    assert data == reference_qkd_csv(t, DEMO).encode()
+    assert data.split(b"\r\n")[1:7] == [line.encode() for line in reference_qkd_csv(t, DEMO).split("\r\n")[1:7]]
+    assert _read_bytes(read_qkd_transcript, data, tmp_path) == t
+
+
+def test_empty_sqkd_outcomes_only_on_reflect_rounds(tmp_path):
+    t = dataclasses.replace(_sqkd_run("honest")[0].transcript, eve={})
+    reflected = t.actions == ACTIONS.index(REFLECT)
+    assert reflected.any() and (t.outcomes[reflected] == -1).all() and (t.outcomes[~reflected] >= 0).all()
+    data = _written(write_sqkd_transcript, t)
+    assert data == reference_sqkd_csv(t, DEMO).encode()
+    assert _read_bytes(read_sqkd_transcript, data, tmp_path) == t
+    # the writer spells a missing outcome as an empty cell wherever it is;
+    # the reader accepts it only where that participant reflected
+    outcomes = t.outcomes.copy()
+    row = int(np.flatnonzero(~reflected[:, 0])[0])
+    outcomes[row, 0] = -1
+    data = _written(write_sqkd_transcript, dataclasses.replace(t, outcomes=outcomes))
+    with pytest.raises(ConfigError, match="outcome"):
+        _read_bytes(read_sqkd_transcript, data, tmp_path)
+
+
+def test_writer_rejects_negative_integer_cells():
+    t = _qkd_run("honest")[0].transcript
+    with pytest.raises(ValueError):
+        _written(write_qkd_transcript, dataclasses.replace(t, index=t.index - 1))
+
+
+@pytest.mark.parametrize("protocol", ["qkd", "sqkd"])
+def test_large_transcripts_match_csv_writer_and_round_trip(protocol, tmp_path):
+    rng = np.random.default_rng(11)
+    n = 10**5
+    index = rng.permutation(10 * n)[:n].astype(np.int64)
+    common = dict(index=index, alice_set=rng.integers(1, 3, n), alice_state=rng.integers(0, 4, n))
+    if protocol == "qkd":
+        t = QkdTranscript(**common, bases=rng.integers(1, 3, (n, 2)),
+                          outcomes=np.stack([rng.integers(0, 4, n), rng.integers(0, 2, n)], axis=1),
+                          retained=rng.random((n, 2)) < 0.5, check=rng.random(n) < 0.1)
+        write, read, reference = write_qkd_transcript, read_qkd_transcript, reference_qkd_csv
+    else:
+        actions = rng.integers(0, 2, (n, 2))
+        outcomes = np.stack([rng.integers(0, 4, n), rng.integers(0, 2, n)], axis=1)
+        outcomes[actions == ACTIONS.index(REFLECT)] = -1
+        t = SqkdTranscript(**common, actions=actions, outcomes=outcomes,
+                           returns=np.stack([rng.integers(0, 4, n), rng.integers(0, 2, n)], axis=1))
+        write, read, reference = write_sqkd_transcript, read_sqkd_transcript, reference_sqkd_csv
+    data = _written(write, t)
+    assert data == reference(t, DEMO).encode()
+    assert _read_bytes(read, data, tmp_path) == t
+
+
+@pytest.mark.parametrize("protocol, old, new", [
+    ("sqkd", b",reflect,", b",reflect\x00,"), ("sqkd", b",measure,", b',"measure",'),
+    ("qkd", b",0\r\n", b',"0"\r\n'), ("qkd", b",1,", b",1\x00,"),
+])
+def test_quoted_cells_and_nul_bytes_are_rejected(protocol, old, new, tmp_path):
+    # a NUL past a cell's text would read as the padding of a shorter cell
+    t, write, read = _honest(protocol)
+    data = _written(write, t)
+    assert old in data
+    with pytest.raises(ConfigError, match="quoted or hold NUL"):
+        _read_bytes(read, data.replace(old, new, 1), tmp_path)
