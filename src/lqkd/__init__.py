@@ -3,9 +3,10 @@
 from .attacks import AttackSpec
 from .harness import ExperimentSpec, analyze_transcript, run_experiment, spec_from_dict
 from .nettop import Layer, Network
-from .qkd_engine import ConfigError, QkdConfig, QkdTranscript, RunResult, run_qkd
+from .qkd_engine import ConfigError, QkdConfig, RunResult, run_qkd
 from .resgen import compile_states
-from .sqkd_engine import SqkdConfig, SqkdTranscript, run_sqkd
+from .sqkd_engine import SqkdConfig, run_sqkd
+from .transcript import QkdTranscript, SqkdTranscript
 
 __version__ = "0.1.0"
 

@@ -103,12 +103,6 @@ def rounds_for_confidence(epsilon: float, d: int) -> int:
     return l
 
 
-def symbol_codes(features) -> list[int]:
-    """Dense integer codes for a stream of arbitrary hashable symbols."""
-    mapping: dict = {}
-    return [mapping.setdefault(f, len(mapping)) for f in features]
-
-
 def empirical_mi(xs, ys) -> float:
     """Plug-in mutual information (bits) between two aligned symbol streams
     (arrays or sequences)."""

@@ -10,7 +10,7 @@ analysis of two-way attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,6 +19,12 @@ from . import qmath
 from .qmath import Basis, JointState, Ket
 
 KINDS = ("none", "intercept_resend", "entangle_measure", "cloning", "two_way")
+# Eve's readout of an attacked round is a tuple of ints: her basis set id
+# and outcome when she intercepts (0 and -1 otherwise), then one
+# computational readout per ancilla. Its width per kind, for the rounds
+# that kind runs in (two-way attacks: two-way rounds, one ancilla per leg).
+READOUT_WIDTHS = {"intercept_resend": 2, "entangle_measure": 3, "cloning": 3, "two_way": 4}
+_NO_INTERCEPT = (0, -1)
 
 
 class AttackConfigError(ValueError):
@@ -75,16 +81,6 @@ def attack_from_dict(doc: dict | None) -> AttackSpec:
         ancilla_dim=doc.get("ancilla_dim"),
         probability=float(doc.get("probability", 1.0)),
     )
-
-
-@dataclass
-class EveRecord:
-    """Everything the eavesdropper obtains in one attacked round."""
-
-    kind: str
-    basis: Optional[int] = None
-    outcome: Optional[int] = None
-    ancillas: tuple[int, ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -332,33 +328,26 @@ class ChannelAttack:
             self.ancilla_dim = spec.ancilla_dim if spec.ancilla_dim is not None else dim
             self._forward = resolve_unitary(spec.forward, dim, self.ancilla_dim)
             self._backward = resolve_unitary(spec.backward, dim, self.ancilla_dim)
+        self.readout_width = READOUT_WIDTHS[spec.kind]
         # Roots of this run's memoized measurement trees, keyed by what
         # determines their state. Each run builds its own ChannelAttack, so
         # no tree is shared between threads.
         self._nodes: dict[tuple, qmath.MeasurementNode] = {}
 
-    def components(self) -> TwoWayComponents:
-        if self.kind != "two_way":
-            raise AttackConfigError("components are defined for two-way attacks only")
-        return two_way_attack(self._forward, self._backward, self.dim, self.ancilla_dim)
-
-    def forward(self, ket: Ket, rng: np.random.Generator) -> tuple[Ket | JointState, EveRecord]:
-        """Intercept the hub -> target leg."""
+    def forward(self, ket: Ket, rng: np.random.Generator) -> tuple[Ket | JointState, tuple[int, int]]:
+        """Intercept the hub -> target leg: the carrier, and Eve's basis and outcome."""
         if self.kind == "intercept_resend":
             post, outcome, basis = intercept_resend(ket, rng)
-            code = 1 if basis is Basis.COMPUTATIONAL else 2
-            return post, EveRecord(kind=self.kind, basis=code, outcome=outcome)
+            return post, (1 if basis is Basis.COMPUTATIONAL else 2, outcome)
         if self.kind == "entangle_measure":
             joint = qmath.product_state([ket, qmath.basis_ket(self.dim, 0)])
-            joint = qmath.apply_joint(self._entangler, joint, (0, 1))
-            return joint, EveRecord(kind=self.kind)
+            return qmath.apply_joint(self._entangler, joint, (0, 1)), _NO_INTERCEPT
         if self.kind == "cloning":
             amps = self._isometry @ ket.amplitudes
-            return JointState((self.dim, self.dim * self.dim), amps), EveRecord(kind=self.kind)
+            return JointState((self.dim, self.dim * self.dim), amps), _NO_INTERCEPT
         if self.kind == "two_way":
             joint = qmath.product_state([ket, qmath.basis_ket(self.ancilla_dim, 0)])
-            joint = qmath.apply_joint(self._forward, joint, (0, 1))
-            return joint, EveRecord(kind=self.kind)
+            return qmath.apply_joint(self._forward, joint, (0, 1)), _NO_INTERCEPT
         raise AttackConfigError(f"attack kind {self.kind!r} has no forward leg")
 
     def backward(self, carrier: Ket | JointState, rng: np.random.Generator) -> Ket | JointState:
@@ -378,7 +367,7 @@ class ChannelAttack:
     # The rounds below walk memoized measurement trees rooted at those
     # carriers. They draw from ``rng`` in the same order as measuring the
     # state vectors afresh (forward, measure the traveler, read out the
-    # ancillas, backward, ...), so they give the same outcomes and records.
+    # ancillas, backward, ...), so they give the same outcomes and readouts.
 
     def _node(self, key: tuple, build) -> qmath.MeasurementNode:
         node = self._nodes.get(key)
@@ -390,16 +379,15 @@ class ChannelAttack:
         return self._node(("ket", basis, index), lambda: qmath.basis_state(self.dim, basis, index))
 
     def _forward_node(self, basis: Basis, index: int,
-                      rng: np.random.Generator) -> tuple[qmath.MeasurementNode, EveRecord]:
-        """Carrier after the forward leg, and Eve's record so far."""
+                      rng: np.random.Generator) -> tuple[qmath.MeasurementNode, tuple[int, int]]:
+        """Carrier after the forward leg, and Eve's basis and outcome."""
         if self.kind == "intercept_resend":
             eve_basis = Basis.COMPUTATIONAL if rng.random() < 0.5 else Basis.FOURIER
             outcome, post = self._ket_node(basis, index).sample(0, eve_basis, rng)
-            code = 1 if eve_basis is Basis.COMPUTATIONAL else 2
-            return post, EveRecord(kind=self.kind, basis=code, outcome=outcome)
+            return post, (1 if eve_basis is Basis.COMPUTATIONAL else 2, outcome)
         node = self._node(("forward", basis, index),
                           lambda: self.forward(qmath.basis_state(self.dim, basis, index), rng)[0])
-        return node, EveRecord(kind=self.kind)
+        return node, _NO_INTERCEPT
 
     def _backward_node(self, key: tuple, carrier: qmath.MeasurementNode, rng) -> qmath.MeasurementNode:
         """Carrier after the backward leg; ``key`` names the carrier's state."""
@@ -408,20 +396,20 @@ class ChannelAttack:
         return self._node(("backward",) + key, lambda: self.backward(carrier.state, rng))
 
     def one_way_round(self, basis: Basis, index: int, meas_basis: Basis,
-                      rng: np.random.Generator) -> tuple[int, EveRecord]:
-        """One attacked hub -> target round: the target's outcome and Eve's record."""
+                      rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
+        """One attacked hub -> target round: the target's outcome and Eve's readout."""
         carrier, eve = self._forward_node(basis, index, rng)
-        outcome, eve.ancillas = _read_out(carrier, meas_basis, rng)
-        return outcome, eve
+        outcome, ancillas = _read_out(carrier, meas_basis, rng)
+        return outcome, eve + ancillas
 
     def two_way_round(self, basis: Basis, index: int, measures: bool,
-                      rng: np.random.Generator) -> tuple[Optional[int], int, EveRecord]:
+                      rng: np.random.Generator) -> tuple[Optional[int], int, tuple[int, ...]]:
         """One attacked two-way round.
 
         The target measures in the computational basis and resends its
         outcome, or reflects; the hub remeasures the returned traveler in
         ``basis``. Returns the target's outcome (None when reflecting), the
-        hub's return outcome and Eve's record.
+        hub's return outcome and Eve's readout.
         """
         carrier, eve = self._forward_node(basis, index, rng)
         outcome, ancillas = None, ()
@@ -431,8 +419,7 @@ class ChannelAttack:
             key = ("ket", Basis.COMPUTATIONAL, outcome)
             carrier = self._ket_node(Basis.COMPUTATIONAL, outcome)
         returned, more = _read_out(self._backward_node(key, carrier, rng), basis, rng)
-        eve.ancillas = ancillas + more
-        return outcome, returned, eve
+        return outcome, returned, eve + ancillas + more
 
 
 def _read_out(node: qmath.MeasurementNode, basis: Basis,

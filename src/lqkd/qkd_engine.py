@@ -13,14 +13,13 @@ round. Key extraction and the report are column operations on it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import analysis, resgen
-from .attacks import AttackSpec, ChannelAttack, EveRecord, build_channel_attack, measure_ancillas  # noqa: F401
+from .attacks import AttackSpec, ChannelAttack, build_channel_attack, measure_ancillas  # noqa: F401
 from .nettop import Network, require_valid
 # measure, measure_joint, measure_ancillas and pick_outcome are not called
 # here; perfbench/tracer.py counts calls at these engine attributes.
@@ -33,6 +32,7 @@ from .qmath import (  # noqa: F401
 )
 from .resgen import ConfigError
 from .seeding import round_rngs, stream_rng
+from .transcript import EVE_FILL, QkdTranscript
 
 
 @dataclass(frozen=True)
@@ -43,40 +43,6 @@ class QkdConfig:
     seed: int = 0
     attack: Optional[AttackSpec] = None
     truncated: bool = False
-
-
-def columns_equal(a, b) -> bool:
-    """Field-by-field equality of two columnar transcripts of one type."""
-    if type(a) is not type(b):
-        return False
-    return all(
-        getattr(a, f.name) == getattr(b, f.name) if f.name == "eve"
-        else np.array_equal(getattr(a, f.name), getattr(b, f.name))
-        for f in dataclasses.fields(a)
-    )
-
-
-@dataclass(eq=False)
-class QkdTranscript:
-    """Every round of a one-way run, one column per field.
-
-    Row r holds round ``index[r]``. Slot s is the s-th non-hub participant
-    in index order, layer i the network's i-th layer.
-    """
-
-    index: np.ndarray  # (rounds,) round numbers
-    alice_set: np.ndarray  # (rounds,) prepare set id, 1 or 2
-    alice_state: np.ndarray  # (rounds,) state drawn from the set
-    bases: np.ndarray  # (rounds, slots) measurement set id of each participant
-    outcomes: np.ndarray  # (rounds, slots) local outcome of each participant
-    retained: np.ndarray  # (rounds, layers) bool: the layer survived sifting
-    check: np.ndarray  # (rounds,) bool: disclosed for the eavesdropping check
-    eve: dict[int, EveRecord] = field(default_factory=dict)  # row -> Eve's record, attacked rows only
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    __eq__ = columns_equal
 
 
 @dataclass
@@ -97,7 +63,7 @@ class KeyMaterial:
 
 @dataclass
 class RunResult:
-    transcript: QkdTranscript  # a sqkd_engine.SqkdTranscript for two-way runs
+    transcript: QkdTranscript  # a SqkdTranscript for two-way runs
     keys: KeyMaterial
     report: analysis.Report
 
@@ -195,11 +161,6 @@ def decode_keys(transcript, compiled: resgen.CompiledStates, sifted: np.ndarray)
     return material
 
 
-def extract_keys(transcript: QkdTranscript, network: Network, truncated: bool = False) -> KeyMaterial:
-    """Decode per-layer key streams from a sifted transcript."""
-    return extract_keys_compiled(transcript, resgen.compile_states(network, truncated))
-
-
 def extract_keys_compiled(transcript: QkdTranscript, compiled: resgen.CompiledStates) -> KeyMaterial:
     """Keys come from the retained rounds not disclosed for the check."""
     return decode_keys(transcript, compiled, transcript.retained & ~transcript.check[:, None])
@@ -215,15 +176,22 @@ def _validate(config: QkdConfig) -> None:
         raise ConfigError("two-way attacks require a two-way protocol; use the semi-quantum engine")
 
 
-def bind_attack(attack: AttackSpec | None, compiled: resgen.CompiledStates) -> tuple[int, ChannelAttack | None]:
-    """The attacked slot and the attack bound to its subsystem; (-1, None) without an attack."""
+def attack_slot(attack: AttackSpec | None, compiled: resgen.CompiledStates) -> int:
+    """The slot of the attack's target; -1 without an attack."""
     if attack is None or attack.kind == "none":
-        return -1, None
+        return -1
     bobs = [coding.participant for coding in compiled.codings]
     target = compiled.network.index_of(attack.target)
     if target not in bobs:
         raise ConfigError(f"attack target {attack.target!r} holds no subsystem")
-    slot = bobs.index(target)
+    return bobs.index(target)
+
+
+def bind_attack(attack: AttackSpec | None, compiled: resgen.CompiledStates) -> tuple[int, ChannelAttack | None]:
+    """The attacked slot and the attack bound to its subsystem; (-1, None) without an attack."""
+    slot = attack_slot(attack, compiled)
+    if slot < 0:
+        return -1, None
     return slot, build_channel_attack(attack, compiled.codings[slot].dim)
 
 
@@ -248,11 +216,13 @@ def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates) -> QkdTra
         rows = cumulative_transition_table(dim)[sets - 1, basis_draws[:, slot] - 1, prepared[:, slot]]
         outcomes[:, slot] = pick_outcomes(rows, outcome_u[:, slot])
 
-    eves: dict[int, EveRecord] = {}
+    attacked = eve = None  # the transcript's defaults: nobody attacked
     if channel is not None:
-        attacked = np.flatnonzero(attack_u < config.attack.probability).tolist()
-        for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
-            outcomes[r, target_slot], eves[r] = channel.one_way_round(
+        attacked = attack_u < config.attack.probability
+        eve = np.full((rounds, channel.readout_width), EVE_FILL, dtype=np.int64)
+        hit = np.flatnonzero(attacked).tolist()
+        for r, rng in zip(hit, round_rngs(seed, "eve", hit)):
+            outcomes[r, target_slot], eve[r] = channel.one_way_round(
                 resgen.set_basis(int(sets[r])),
                 int(prepared[r, target_slot]),
                 resgen.set_basis(int(basis_draws[r, target_slot])),
@@ -268,7 +238,8 @@ def _sample_rounds(config: QkdConfig, compiled: resgen.CompiledStates) -> QkdTra
         outcomes=outcomes,
         retained=retained,
         check=retained.any(axis=1) & (check_u < config.check_fraction),
-        eve=eves,
+        attacked=attacked,
+        eve=eve,
     )
 
 
@@ -405,21 +376,25 @@ def mutual_information_summary(transcript, compiled: resgen.CompiledStates, keys
     return {"hub_member": hub_member, "outsider_key": outsider}
 
 
-def _eve_features(e: EveRecord) -> tuple:
-    return (e.basis or 0, e.outcome if e.outcome is not None else -1) + tuple(e.ancillas)
+def _first_appearance_codes(rows: np.ndarray) -> np.ndarray:
+    """Dense codes of equal rows, numbered in order of first appearance: the
+    order the report's MI sums its terms in, so its bytes depend on it."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
 
 
 def eve_information(transcript, compiled: resgen.CompiledStates, attack: AttackSpec | None):
-    """Plug-in MI between the eavesdropper's records and the prepared index."""
-    slot, channel = bind_attack(attack, compiled)
-    if channel is None:
+    """Plug-in MI between the eavesdropper's readouts and the prepared index."""
+    slot = attack_slot(attack, compiled)
+    if slot < 0:
         return None
-    rows = np.array(sorted(transcript.eve), dtype=np.int64)
     by_set: dict[str, float] = {}
     for set_id in (1, 2):
-        picked = rows[transcript.alice_set[rows] == set_id]
+        picked = np.flatnonzero(transcript.attacked & (transcript.alice_set == set_id))
         if len(picked) >= 2:
-            feats = [_eve_features(transcript.eve[r]) for r in picked.tolist()]
             prepared = prepared_indices(compiled, transcript.alice_set[picked], transcript.alice_state[picked])
-            by_set[str(set_id)] = analysis.empirical_mi(analysis.symbol_codes(feats), prepared[:, slot])
+            by_set[str(set_id)] = analysis.empirical_mi(_first_appearance_codes(transcript.eve[picked]),
+                                                        prepared[:, slot])
     return by_set or None

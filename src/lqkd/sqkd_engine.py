@@ -12,13 +12,13 @@ which all of a layer's members measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import analysis, resgen
-from .attacks import AttackSpec, EveRecord, measure_ancillas  # noqa: F401
+from .attacks import AttackSpec, measure_ancillas  # noqa: F401
 from .nettop import Network, require_valid
 from .qkd_engine import (
     ConfigError,
@@ -26,7 +26,6 @@ from .qkd_engine import (
     RunResult,
     assemble_report,
     bind_attack,
-    columns_equal,
     decode_keys,
     layer_slots,
     prepared_indices,
@@ -43,10 +42,7 @@ from .qmath import (  # noqa: F401
     pick_outcomes,
 )
 from .seeding import round_rngs, stream_rng
-
-MEASURE = "measure"
-REFLECT = "reflect"
-ACTIONS = (MEASURE, REFLECT)  # indexed by the drawn action code
+from .transcript import ACTIONS, EVE_FILL, MEASURE, REFLECT, SqkdTranscript
 
 
 @dataclass(frozen=True)
@@ -61,28 +57,6 @@ class SqkdConfig:
     @property
     def rounds(self) -> int:
         return math.ceil(8 * self.key_length * (1.0 + self.delta))
-
-
-@dataclass(eq=False)
-class SqkdTranscript:
-    """Every round of a two-way run, one column per field.
-
-    Row r holds round ``index[r]``; slots are the non-hub participants in
-    index order.
-    """
-
-    index: np.ndarray  # (rounds,) round numbers
-    alice_set: np.ndarray  # (rounds,) prepare set id, 1 or 2
-    alice_state: np.ndarray  # (rounds,) state drawn from the set
-    actions: np.ndarray  # (rounds, slots) action code, an index into ACTIONS
-    outcomes: np.ndarray  # (rounds, slots) participant's outcome; -1 where not measured
-    returns: np.ndarray  # (rounds, slots) hub's outcome on the returned subsystem
-    eve: dict[int, EveRecord] = field(default_factory=dict)  # row -> Eve's record, attacked rows only
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    __eq__ = columns_equal
 
 
 def _validate(config: SqkdConfig) -> None:
@@ -120,11 +94,13 @@ def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates) -> SqkdT
         returns[:, slot] = np.where(measured[:, slot], resent, prepared[:, slot])
     outcomes[~measured] = -1
 
-    eves: dict[int, EveRecord] = {}
+    attacked = eve = None  # the transcript's defaults: nobody attacked
     if channel is not None:
-        attacked = np.flatnonzero(attack_u < config.attack.probability).tolist()
-        for r, rng in zip(attacked, round_rngs(seed, "eve", attacked)):
-            outcome, returns[r, target_slot], eves[r] = channel.two_way_round(
+        attacked = attack_u < config.attack.probability
+        eve = np.full((rounds, channel.readout_width), EVE_FILL, dtype=np.int64)
+        hit = np.flatnonzero(attacked).tolist()
+        for r, rng in zip(hit, round_rngs(seed, "eve", hit)):
+            outcome, returns[r, target_slot], eve[r] = channel.two_way_round(
                 resgen.set_basis(int(sets[r])),
                 int(prepared[r, target_slot]),
                 bool(measured[r, target_slot]),
@@ -139,7 +115,8 @@ def _sample_rounds(config: SqkdConfig, compiled: resgen.CompiledStates) -> SqkdT
         actions=action_draws,
         outcomes=outcomes,
         returns=returns,
-        eve=eves,
+        attacked=attacked,
+        eve=eve,
     )
 
 

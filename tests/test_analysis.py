@@ -167,10 +167,6 @@ def test_empirical_entropy_uniform():
     assert empirical_entropy([5] * 10) == 0.0
 
 
-def test_symbol_codes():
-    assert analysis.symbol_codes(["a", "b", "a", "c"]) == [0, 1, 0, 2]
-
-
 # --- error tallies and pinpointing ------------------------------------------
 
 

@@ -5,11 +5,12 @@ from lqkd.attacks import AttackSpec
 from lqkd.qkd_engine import (
     ConfigError,
     QkdConfig,
-    QkdTranscript,
-    extract_keys,
+    extract_keys_compiled,
     run_qkd,
     sift_layers,
 )
+from lqkd.resgen import compile_states
+from lqkd.transcript import QkdTranscript
 
 
 def _record(alice_set, state, bases, outcomes, retained, check=False, index=0):
@@ -56,14 +57,14 @@ def test_sift_mismatch_discards_round(demo_network):
 def test_extract_keys_digit_rule(demo_network):
     # outcome 2 splits into first-layer symbol 1 and second-layer symbol 0
     rec = _record(1, 2, (1, 1), (2, 0), (0, 1))
-    keys = extract_keys(_transcript(rec), demo_network)
+    keys = extract_keys_compiled(_transcript(rec), compile_states(demo_network))
     assert keys.layers[0].streams == {"Alice": (1,), "Bob1": (1,)}
     assert keys.layers[1].streams == {"Alice": (0,), "Bob1": (0,), "Bob2": (0,)}
 
 
 def test_extract_keys_zero_row(demo_network):
     rec = _record(1, 0, (1, 1), (0, 0), (0, 1))
-    keys = extract_keys(_transcript(rec), demo_network)
+    keys = extract_keys_compiled(_transcript(rec), compile_states(demo_network))
     assert keys.layers[0].streams["Bob1"] == (0,)
     assert keys.layers[1].streams["Bob2"] == (0,)
 
@@ -71,7 +72,7 @@ def test_extract_keys_zero_row(demo_network):
 def test_extract_keys_scaled_digit_rule(scaled_network):
     # six-dimensional outcome 4 has digits (2, 0) under radices (3, 2)
     rec = _record(1, 4, (1, 1), (4, 0), (0, 1))
-    keys = extract_keys(_transcript(rec), scaled_network)
+    keys = extract_keys_compiled(_transcript(rec), compile_states(scaled_network))
     assert keys.layers[0].streams["Bob1"] == (2,)
     assert keys.layers[1].streams["Bob1"] == (0,)
     assert keys.layers[0].alphabet == 3
@@ -79,14 +80,14 @@ def test_extract_keys_scaled_digit_rule(scaled_network):
 
 def test_extract_keys_skips_checked_rounds(demo_network):
     rec = _record(1, 3, (1, 1), (3, 1), (0, 1), check=True)
-    keys = extract_keys(_transcript(rec), demo_network)
+    keys = extract_keys_compiled(_transcript(rec), compile_states(demo_network))
     assert keys.layers[0].streams["Alice"] == ()
     assert keys.layers[1].streams["Alice"] == ()
 
 
 def test_extract_keys_partial_round_feeds_only_first_layer(demo_network):
     rec = _record(1, 2, (1, 2), (2, 1), (0,))
-    keys = extract_keys(_transcript(rec), demo_network)
+    keys = extract_keys_compiled(_transcript(rec), compile_states(demo_network))
     assert keys.layers[0].streams["Bob1"] == (1,)
     assert keys.layers[1].streams["Alice"] == ()
 
@@ -97,7 +98,7 @@ def test_extract_keys_truncated_rule(scaled_network):
         _record(1, 1, (1, 1), (1, 1), (0, 1), index=1),
         _record(1, 2, (1, 1), (2, 1), (0, 1), index=2),
     ]
-    keys = extract_keys(_transcript(*rows), scaled_network, truncated=True)
+    keys = extract_keys_compiled(_transcript(*rows), compile_states(scaled_network, truncated=True))
     # index 0 yields no first-layer symbol; 1 -> 1 and 2 -> 0
     assert keys.layers[0].streams["Alice"] == (1, 0)
     assert keys.layers[0].streams["Bob1"] == (1, 0)
@@ -242,12 +243,12 @@ def test_partial_rate_attack_leaves_unattacked_rounds_clean(demo_network):
         )
     )
     t = result.transcript
-    attacked = len(t.eve)
+    attacked = int(np.count_nonzero(t.attacked))
     assert abs(attacked / 4000 - 0.5) < 3 * np.sqrt(0.25 / 4000)
     compiled = compile_network(demo_network)
     for r in range(len(t)):
         # unattacked checked rounds stay error-free for the qubit holder
-        if r not in t.eve and t.check[r] and t.bases[r, 1] == t.alice_set[r]:
+        if not t.attacked[r] and t.check[r] and t.bases[r, 1] == t.alice_set[r]:
             prepared = compiled.prepare_set(int(t.alice_set[r])).states[t.alice_state[r]].indices[1]
             assert t.outcomes[r, 1] == prepared
 

@@ -6,7 +6,7 @@ transition tables. The references below are the per-round paths they
 replaced, written out: build the carrier with ``forward`` (and
 ``backward``), measure it with ``measure``/``measure_joint`` and read
 out the ancillas with ``measure_ancillas``. Both must give identical
-outcomes and Eve records from identical generators.
+outcomes and Eve readouts from identical generators.
 """
 
 import itertools
@@ -53,7 +53,7 @@ def reference_one_way(channel, basis, index, meas_basis, rng):
         outcome, _ = measure(carrier, meas_basis, rng)
     else:
         outcome, post = measure_joint(carrier, 0, meas_basis, rng)
-        eve.ancillas = measure_ancillas(post, rng)
+        eve += measure_ancillas(post, rng)
     return outcome, eve
 
 
@@ -74,8 +74,7 @@ def reference_two_way(channel, basis, index, measures, rng):
     else:
         returned, post = measure_joint(carrier, 0, basis, rng)
         ancillas += measure_ancillas(post, rng)
-    eve.ancillas = ancillas
-    return outcome, returned, eve
+    return outcome, returned, eve + ancillas
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))

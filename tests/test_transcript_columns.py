@@ -21,40 +21,32 @@ from hypothesis import strategies as st
 
 from lqkd import analysis, nettop
 from lqkd.attacks import AttackSpec
-from lqkd.harness import (
-    canonical_json,
-    canonical_report_bytes,
-    qkd_transcript_columns,
-    read_qkd_transcript,
-    read_sqkd_transcript,
-    run_experiment,
-    spec_from_dict,
-    sqkd_transcript_columns,
-    write_csv,
-    write_qkd_transcript,
-    write_sqkd_transcript,
-)
+from lqkd.harness import canonical_json, canonical_report_bytes, run_experiment, spec_from_dict, write_csv
 from lqkd.qkd_engine import (
     ConfigError,
     KeyMaterial,
     LayerKey,
     QkdConfig,
-    QkdTranscript,
     extract_keys_compiled,
     layer_alphabets,
     report_from_transcript,
     run_qkd,
 )
 from lqkd.resgen import compile_network, compile_truncated
-from lqkd.sqkd_engine import (
+from lqkd.sqkd_engine import SqkdConfig, extract_sqkd_keys, run_sqkd, sqkd_report_from_transcript
+from lqkd.transcript import (
     ACTIONS,
+    EVE_FILL,
     MEASURE,
     REFLECT,
-    SqkdConfig,
+    QkdTranscript,
     SqkdTranscript,
-    extract_sqkd_keys,
-    run_sqkd,
-    sqkd_report_from_transcript,
+    qkd_transcript_columns,
+    read_qkd_transcript,
+    read_sqkd_transcript,
+    sqkd_transcript_columns,
+    write_qkd_transcript,
+    write_sqkd_transcript,
 )
 
 DEMO_NET = {
@@ -78,6 +70,11 @@ SCALED_NET = {
 # --- row view and per-row references -------------------------------------------
 
 
+def _readout(t, r: int):
+    """Eve's readout of row r as a tuple; None where she did not attack."""
+    return tuple(t.eve[r].tolist()) if t.attacked[r] else None
+
+
 def qkd_rows(t: QkdTranscript) -> list:
     return [
         SimpleNamespace(
@@ -88,7 +85,7 @@ def qkd_rows(t: QkdTranscript) -> list:
             outcomes=tuple(t.outcomes[r].tolist()),
             retained_for=tuple(np.flatnonzero(t.retained[r]).tolist()),
             used_for_check=bool(t.check[r]),
-            eve=t.eve.get(r),
+            eve=_readout(t, r),
         )
         for r in range(len(t))
     ]
@@ -103,7 +100,7 @@ def sqkd_rows(t: SqkdTranscript) -> list:
             actions=tuple(ACTIONS[a] for a in t.actions[r].tolist()),
             outcomes=tuple(None if o < 0 else o for o in t.outcomes[r].tolist()),
             returns=tuple(t.returns[r].tolist()),
-            eve=t.eve.get(r),
+            eve=_readout(t, r),
         )
         for r in range(len(t))
     ]
@@ -205,15 +202,15 @@ def _reference_eve(rows, compiled, attack):
     slot = bobs.index(network.index_of(attack.target))
     by_set = {}
     for set_id in (1, 2):
+        codes = {}  # readout -> code, numbered in order of first appearance
         feats, prepared = [], []
         for rec in rows:
             if rec.eve is None or rec.alice_set != set_id:
                 continue
-            e = rec.eve
-            feats.append((e.basis or 0, e.outcome if e.outcome is not None else -1) + tuple(e.ancillas))
+            feats.append(codes.setdefault(rec.eve, len(codes)))
             prepared.append(compiled.prepare_set(set_id).states[rec.alice_state].indices[slot])
         if len(feats) >= 2:
-            by_set[str(set_id)] = analysis.empirical_mi(analysis.symbol_codes(feats), prepared)
+            by_set[str(set_id)] = analysis.empirical_mi(feats, prepared)
     return by_set or None
 
 
@@ -371,9 +368,8 @@ def _relabel(t, seed: int):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(t))
     labels = rng.choice(10 * len(t), size=len(t), replace=False)
-    new_row = {int(old): new for new, old in enumerate(order)}
-    columns = {f.name: getattr(t, f.name)[order] for f in dataclasses.fields(t) if f.name not in ("index", "eve")}
-    return type(t)(index=labels[order], eve={new_row[r]: e for r, e in t.eve.items()}, **columns)
+    columns = {f.name: getattr(t, f.name)[order] for f in dataclasses.fields(t) if f.name != "index"}
+    return type(t)(index=labels[order], **columns)
 
 
 def test_non_contiguous_round_index_matches_reference():
@@ -426,6 +422,54 @@ def test_empirical_mi_matches_summing_ones():
         expected = float((joint[nz] * np.log2(joint[nz] / outer[nz])).sum())
         assert analysis.empirical_mi(xs, ys) == expected
         assert analysis.empirical_mi(xs.tolist(), ys.tolist()) == expected
+
+
+# --- Eve's columns ---------------------------------------------------------------
+
+# attack kind -> (AttackSpec fields, width of Eve's readout)
+EVE_WIDTHS = {
+    "intercept_resend": ({}, 2),
+    "entangle_measure": ({}, 3),
+    "cloning": ({"fidelity": 0.8}, 3),
+    "two_way": ({"forward": "cnot", "backward": "cnot"}, 4),
+}
+
+
+@pytest.mark.parametrize("engine", ["qkd", "sqkd"])
+@pytest.mark.parametrize("kind", sorted(EVE_WIDTHS))
+def test_eve_readout_width_and_fill(engine, kind):
+    fields, width = EVE_WIDTHS[kind]
+    attack = AttackSpec(kind=kind, target="Bob1", probability=0.5, **fields)
+    if engine == "qkd":
+        if kind == "two_way":
+            with pytest.raises(ConfigError):
+                run_qkd(QkdConfig(network=DEMO, rounds=10, attack=attack))
+            return
+        t = run_qkd(QkdConfig(network=DEMO, rounds=300, seed=1, attack=attack)).transcript
+    else:
+        t = run_sqkd(SqkdConfig(network=DEMO, key_length=40, seed=1, attack=attack)).transcript
+    assert t.attacked.shape == (len(t),) and t.attacked.dtype == bool
+    assert t.eve.shape == (len(t), width) and t.eve.dtype == np.int64
+    assert 0 < np.count_nonzero(t.attacked) < len(t)
+    assert (t.eve[~t.attacked] == EVE_FILL).all()
+    readouts = t.eve[t.attacked]
+    intercepted = kind == "intercept_resend"
+    assert set(readouts[:, 0].tolist()) == ({1, 2} if intercepted else {0})
+    assert (readouts[:, 1] >= 0).all() if intercepted else (readouts[:, 1] == -1).all()
+    assert (readouts[:, 2:] >= 0).all()
+
+
+@pytest.mark.parametrize("protocol", ["qkd", "sqkd"])
+def test_honest_and_read_transcripts_have_zero_width_eve(protocol, tmp_path):
+    t, write, read = _honest(protocol)
+    path = tmp_path / "t.csv"
+    write(path, t, DEMO)
+    for transcript in (t, read(path, compile_network(DEMO))):
+        assert transcript.eve.shape == (len(t), 0)
+        assert transcript.attacked.shape == (len(t),) and not transcript.attacked.any()
+    attacked, _, _ = (_qkd_run if protocol == "qkd" else _sqkd_run)("intercept-resend")
+    write(path, attacked.transcript, DEMO)
+    assert read(path, compile_network(DEMO)).eve.shape == (len(attacked.transcript), 0)
 
 
 # --- rounds dropped by decoding ---------------------------------------------------
@@ -692,7 +736,7 @@ def test_truncated_transcript_rejects_states_and_outcomes_outside_the_reduced_fa
     result, compiled, _ = _qkd_run("honest-truncated")
     path = tmp_path / "t.csv"
     write_qkd_transcript(path, result.transcript, compiled.network)
-    assert read_qkd_transcript(path, compiled) == dataclasses.replace(result.transcript, eve={})
+    assert read_qkd_transcript(path, compiled) == result.transcript
     for edit in (_set_cell("state", "3"), _set_cell("outcome_Bob1", "3")):
         write_qkd_transcript(path, result.transcript, compiled.network)
         _rewrite(path, edit)
@@ -720,12 +764,10 @@ def _written(write, t, network=DEMO) -> bytes:
 
 
 def _honest(protocol):
-    """An honest run's transcript as the reader returns it (no Eve records), its writer and its reader."""
+    """An honest run's transcript (the reader's too: nobody attacked), its writer and its reader."""
     if protocol == "qkd":
-        return dataclasses.replace(_qkd_run("honest")[0].transcript, eve={}), write_qkd_transcript, \
-            read_qkd_transcript
-    return dataclasses.replace(_sqkd_run("honest")[0].transcript, eve={}), write_sqkd_transcript, \
-        read_sqkd_transcript
+        return _qkd_run("honest")[0].transcript, write_qkd_transcript, read_qkd_transcript
+    return _sqkd_run("honest")[0].transcript, write_sqkd_transcript, read_sqkd_transcript
 
 
 def _read_bytes(read, data: bytes, tmp_path, network=DEMO):
@@ -781,8 +823,8 @@ def test_header_only_transcripts(line_end, tmp_path):
         assert data == (",".join(columns(DEMO)) + "\r\n").encode()
         loaded = _read_bytes(read, data[:-2] + line_end, tmp_path)
         assert loaded == empty
-        assert {f.name: getattr(loaded, f.name).shape for f in dataclasses.fields(loaded) if f.name != "eve"} == {
-            f.name: getattr(empty, f.name).shape for f in dataclasses.fields(empty) if f.name != "eve"}
+        assert {f.name: getattr(loaded, f.name).shape for f in dataclasses.fields(loaded)} == {
+            f.name: getattr(empty, f.name).shape for f in dataclasses.fields(empty)}
 
 
 def test_header_must_match_byte_for_byte(tmp_path):
@@ -797,7 +839,7 @@ def test_round_numbers_of_different_widths_share_a_column(tmp_path):
     t = _qkd_run("honest")[0].transcript
     index = np.arange(len(t), dtype=np.int64)
     index[:6] = [1, 10**6, 7, 0, 12345, 999999]
-    t = dataclasses.replace(t, index=index, eve={})
+    t = dataclasses.replace(t, index=index)
     data = _written(write_qkd_transcript, t)
     assert data == reference_qkd_csv(t, DEMO).encode()
     assert data.split(b"\r\n")[1:7] == [line.encode() for line in reference_qkd_csv(t, DEMO).split("\r\n")[1:7]]
@@ -805,7 +847,7 @@ def test_round_numbers_of_different_widths_share_a_column(tmp_path):
 
 
 def test_empty_sqkd_outcomes_only_on_reflect_rounds(tmp_path):
-    t = dataclasses.replace(_sqkd_run("honest")[0].transcript, eve={})
+    t = _sqkd_run("honest")[0].transcript
     reflected = t.actions == ACTIONS.index(REFLECT)
     assert reflected.any() and (t.outcomes[reflected] == -1).all() and (t.outcomes[~reflected] >= 0).all()
     data = _written(write_sqkd_transcript, t)
